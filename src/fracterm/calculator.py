@@ -36,9 +36,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import DomainError, EvalError, MatchError, SafetyError
+from .meadows import Q0, evaluate
 from .syntax import term_to_json_obj, to_text
 from .terms import (
     Add,
@@ -156,31 +156,13 @@ def find_unsafe_fraction(t: Term) -> tuple[Position, Term] | None:
     Uses the totalized-rational reading to evaluate denominators, so it is
     total on closed terms.
     """
-    values: dict[Position, Fraction] = {}
-
-    def fill(s: Term, pos: Position) -> Fraction:
-        if isinstance(s, Numeral):
-            v = Fraction(s.value)
-        elif isinstance(s, Add):
-            v = fill(s.left, pos + (0,)) + fill(s.right, pos + (1,))
-        elif isinstance(s, Mul):
-            v = fill(s.left, pos + (0,)) * fill(s.right, pos + (1,))
-        elif isinstance(s, Neg):
-            v = -fill(s.arg, pos + (0,))
-        elif isinstance(s, Div):
-            num = fill(s.numerator, pos + (0,))
-            den = fill(s.denominator, pos + (1,))
-            v = Fraction(0) if den == 0 else num / den
-        else:
-            raise EvalError(f"term is open: variable {s.name!r}")
-        values[pos] = v
-        return v
-
-    fill(t, ())
-    for pos, s in subterms(t):
-        if isinstance(s, Div) and values[pos + (1,)] == 0:
-            return pos, s
-    return None
+    unsafe: list[Div] = []
+    evaluate(t, Q0(), unsafe=unsafe)
+    if not unsafe:
+        return None
+    # A shared subterm has one value, so matching by identity is exact.
+    ids = {id(s) for s in unsafe}
+    return next((pos, s) for pos, s in subterms(t) if id(s) in ids)
 
 
 def _fold_mul(t: Term, k: int) -> Term:
@@ -547,14 +529,13 @@ def replay_derivation(steps: Derivation) -> Term:
 
 def _replay_step(step: Step) -> Term:
     if step.rule == RULE_FEQ:
+        if len(step.conditions) != 1:
+            raise MatchError(f"FEQ step records {len(step.conditions)} conditions, not one")
         (k,) = step.conditions
-        for direction in ("lr", "rl"):
-            candidate = apply_rule(
-                step.before, RULE_FEQ, step.position, {"k": k, "direction": direction}
-            )
-            if eq_syn(candidate, step.after):
-                return candidate
-        return apply_rule(step.before, RULE_FEQ, step.position, {"k": k})
+        forward = apply_rule(step.before, RULE_FEQ, step.position, {"k": k})
+        if eq_syn(forward, step.after):
+            return forward
+        return apply_rule(step.before, RULE_FEQ, step.position, {"k": k, "direction": "rl"})
     return apply_rule(step.before, step.rule, step.position, enable_dbz=True)
 
 

@@ -4,9 +4,12 @@ A term is a fraction exactly when division is its leading symbol.  Most
 classes below are relative to a backend ``A``: a fraction is *common* when
 its denominator denotes nonzero in ``A``, *safe* when no subterm is an
 uncommon fraction, *simple* when both components are numerals and the
-fraction is common, and so on.  The backend-relative flags are reported as
-``None`` (indeterminate) for open terms rather than quantifying over
-assignments.
+fraction is common, and so on.  On a closed term the common and safe flags
+come from one evaluation in ``A`` that collects the fractions whose
+denominators denote zero (or ``a``): the term is common when its root is
+not among them and safe when none was collected.  The backend-relative
+flags are reported as ``None`` (indeterminate) for open terms rather than
+quantifying over assignments.
 
 The three equalities compare ever less syntax: identical trees (``eq_syn``),
 equal (numerator value, denominator value) pairs (``eq_pair``), and equal
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .meadows import ERROR, Meadow, MeadowValue, denote
+from .meadows import Meadow, MeadowValue, denote, evaluate
 from .syntax import to_text
 from .terms import (
     Div,
@@ -31,7 +34,6 @@ from .terms import (
     contains_div,
     eq_syn,
     is_closed,
-    subterms,
 )
 
 __all__ = [
@@ -40,13 +42,7 @@ __all__ = [
     "simple_equivalent",
     "eq_pair",
     "eq_val",
-    "is_polynomial",
 ]
-
-
-def is_polynomial(t: Term) -> bool:
-    """True iff no division occurs anywhere in ``t``."""
-    return not contains_div(t)
 
 
 @dataclass
@@ -104,14 +100,6 @@ class Classification:
         return out
 
 
-def _nonzero(v: MeadowValue, meadow: Meadow) -> bool:
-    # In a common meadow the error element does not count as a valid
-    # nonzero denominator.
-    if v is ERROR:
-        return False
-    return not meadow.is_zero(v)
-
-
 def _signed_parts(t: Term) -> tuple[int, int] | None:
     """(sign, k) for a numeral or minus-wrapped numeral, else None."""
     if isinstance(t, Numeral):
@@ -128,27 +116,22 @@ def classify(t: Term, meadow: Meadow) -> Classification:
     den = t.denominator if fraction else None
     closed = is_closed(t)
 
-    flat = fraction and is_polynomial(num) and is_polynomial(den)
+    flat = fraction and not contains_div(num) and not contains_div(den)
     composed = fraction and not flat
 
     common: bool | None
     safe_term: bool | None
     if closed:
-        common = fraction and _nonzero(denote(den, meadow), meadow)
-        safe_term = all(
-            _nonzero(denote(s.denominator, meadow), meadow)
-            for _, s in subterms(t)
-            if isinstance(s, Div)
-        )
+        unsafe: list[Div] = []
+        evaluate(t, meadow, unsafe=unsafe)
+        # The root is collected last, after every fraction inside it.
+        common = fraction and not (unsafe and unsafe[-1] is t)
+        safe_term = not unsafe
+        uncommon = fraction and not common
+        safe_fraction = common and safe_term
     else:
-        common = None if fraction else False
+        common = uncommon = safe_fraction = None if fraction else False
         safe_term = None
-    uncommon = fraction and not common if common is not None else (None if fraction else False)
-    safe_fraction = (
-        (fraction and common and safe_term) if safe_term is not None else None
-    )
-    if not fraction:
-        safe_fraction = False
 
     # Simple-fraction family.  Components must be (possibly minus-wrapped)
     # numerals, which forces the term closed, so these stay decidable; the
@@ -211,7 +194,7 @@ def _as_value_pair(t: Term, meadow: Meadow) -> tuple[MeadowValue, MeadowValue]:
     # A non-fraction contributes (value, 1) via the identity x = x/1.
     if isinstance(t, Div):
         return (denote(t.numerator, meadow), denote(t.denominator, meadow))
-    return (denote(t, meadow), meadow.one())
+    return (denote(t, meadow), meadow.from_int(1))
 
 
 def eq_pair(p: Term, q: Term, meadow: Meadow) -> bool:

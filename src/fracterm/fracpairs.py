@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 __all__ = [
     "Fracpair",
@@ -54,7 +54,7 @@ class ZeroMode(Enum):
         for mode in cls:
             if mode.value == name:
                 return mode
-        raise ValueError(f"unknown zero mode {name!r}")
+        raise DomainError(f"unknown zero mode {name!r}")
 
 
 def int_div(n: int, d: int) -> int:

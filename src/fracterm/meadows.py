@@ -10,6 +10,11 @@ Three carriers interpret the divisive signature totally:
 ``Q0`` and ``Gfp`` are involutive (``1/(1/x) = x``); ``CommonQ`` is not.
 Identity checking is exhaustive on ``Gfp`` and sample-driven on the two
 infinite carriers.
+
+:func:`evaluate` is the one evaluator of all three.  Given an ``unsafe``
+list it also collects every fraction whose denominator denotes zero or
+``a``, which is how the safety precheck and ``classify`` read the paper's
+common and safe classes off the same walk.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
-from .terms import Add, Mul, Neg, Numeral, Term, Var, free_vars
+from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, free_vars
 
 __all__ = [
     "Q0",
@@ -72,19 +77,28 @@ MeadowValue: TypeAlias = Fraction | Residue | _ErrorElement
 Assignment: TypeAlias = Mapping[str, MeadowValue]
 
 
+# Miller-Rabin on the first 13 prime bases decides primality exactly below
+# this bound (Sorenson & Webster, 2015); the first 12 are exact only below
+# 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality for ``n < _MAX_MODULUS``."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    # n passes base b when b**d = 1 or b**(d * 2**i) = -1 (mod n) for some i < r.
+    return all(
+        pow(b, d, n) == 1 or any(pow(b, d << i, n) == n - 1 for i in range(r))
+        for b in _PRIME_BASES
+    )
 
 
 class Q0:
@@ -94,12 +108,6 @@ class Q0:
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
-
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
 
     def add(self, x: Fraction, y: Fraction) -> Fraction:
         return x + y
@@ -121,9 +129,15 @@ class Q0:
 
 
 class Gfp:
-    """The prime field GF(p) with the inverse totalized by ``0**-1 = 0``."""
+    """The prime field GF(p) with the inverse totalized by ``0**-1 = 0``.
+
+    ``p`` must be a prime below ``_MAX_MODULUS`` (about 3.3e24), the range in
+    which primality is decided exactly; larger moduli raise ``DomainError``.
+    """
 
     def __init__(self, p: int):
+        if p >= _MAX_MODULUS:
+            raise DomainError(f"modulus {p} is too large: the limit is {_MAX_MODULUS}")
         if not _is_prime(p):
             raise DomainError(f"modulus must be prime, got {p}")
         self.p = p
@@ -131,12 +145,6 @@ class Gfp:
 
     def from_int(self, n: int) -> Residue:
         return Residue(n % self.p, self.p)
-
-    def zero(self) -> Residue:
-        return Residue(0, self.p)
-
-    def one(self) -> Residue:
-        return Residue(1 % self.p, self.p)
 
     def add(self, x: Residue, y: Residue) -> Residue:
         return Residue((x.value + y.value) % self.p, self.p)
@@ -174,12 +182,6 @@ class CommonQ:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    def one(self) -> Fraction:
-        return Fraction(1)
-
     def add(self, x: MeadowValue, y: MeadowValue) -> MeadowValue:
         if x is ERROR or y is ERROR:
             return ERROR
@@ -208,8 +210,20 @@ class CommonQ:
 Meadow: TypeAlias = Q0 | Gfp | CommonQ
 
 
-def evaluate(t: Term, meadow: Meadow, assignment: Assignment | None = None) -> MeadowValue:
-    """Homomorphic evaluation of ``t``; total on every backend."""
+def evaluate(
+    t: Term,
+    meadow: Meadow,
+    assignment: Assignment | None = None,
+    *,
+    unsafe: list[Div] | None = None,
+) -> MeadowValue:
+    """Homomorphic evaluation of ``t``; total on every backend.
+
+    When ``unsafe`` is a list, every fraction whose denominator denotes zero
+    or the error element ``a`` is appended to it, inner fractions before the
+    fractions that contain them.  The numerator is evaluated before the
+    denominator, so an unbound variable is reported left to right.
+    """
     env = assignment or {}
 
     def go(s: Term) -> MeadowValue:
@@ -226,24 +240,26 @@ def evaluate(t: Term, meadow: Meadow, assignment: Assignment | None = None) -> M
             return meadow.mul(go(s.left), go(s.right))
         if isinstance(s, Neg):
             return meadow.neg(go(s.arg))
-        return meadow.div(go(s.numerator), go(s.denominator))
+        num = go(s.numerator)
+        den = go(s.denominator)
+        if unsafe is not None and (den is ERROR or meadow.is_zero(den)):
+            unsafe.append(s)
+        return meadow.div(num, den)
 
     return go(t)
 
 
 def denote(t: Term, meadow: Meadow) -> MeadowValue:
     """The value a closed term denotes; open terms are rejected."""
-    missing = free_vars(t)
-    if missing:
-        raise EvalError(f"term is open: free variables {sorted(missing)}")
-    return evaluate(t, meadow)
+    try:
+        return evaluate(t, meadow)
+    except EvalError:
+        raise EvalError(f"term is open: free variables {sorted(free_vars(t))}") from None
 
 
 def format_value(v: MeadowValue) -> str:
     if v is ERROR:
         return "a"
-    if isinstance(v, Residue):
-        return str(v)
     return str(v)
 
 

@@ -17,6 +17,8 @@ leaves; nothing downstream ever inspects digit strings.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,6 +42,18 @@ class _Token:
     column: int
 
 
+def _natural(digits: str, column: int | None = None) -> int:
+    """The value of a string of ASCII digits, within Python's int/str limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"numeral of {len(digits)} digits exceeds the limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            column,
+        ) from None
+
+
 def _tokenize(src: str) -> list[_Token]:
     if not src.isascii():
         raise ParseError("only ASCII input is supported")
@@ -54,7 +68,7 @@ def _tokenize(src: str) -> list[_Token]:
         if c.isdigit():
             while i < n and src[i].isdigit():
                 i += 1
-            first = int(src[start:i])
+            first = _natural(src[start:i], start)
             if i < n and src[i] == "_":
                 # mixed literal: digits '_' digits '/' digits, no spaces
                 j = i + 1
@@ -69,8 +83,8 @@ def _tokenize(src: str) -> list[_Token]:
                     j += 1
                 if j == q0:
                     raise ParseError("malformed mixed literal", start)
-                whole, num, den = first, int(src[p0 : q0 - 1]), int(src[q0:j])
-                tokens.append(_Token("mixed", (whole, num, den), start))
+                num, den = _natural(src[p0 : q0 - 1], p0), _natural(src[q0:j], q0)
+                tokens.append(_Token("mixed", (first, num, den), start))
                 i = j
             elif i < n and src[i] == ".":
                 raise ParseError("decimal fractions are not supported", i)
@@ -181,6 +195,9 @@ def to_text(t: Term) -> str:
 
 
 _OPS = {"add": Add, "mul": Mul, "neg": Neg, "div": Div}
+# The text grammar's numerals and identifiers.
+_NATURAL = re.compile(r"[0-9]+")
+_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 
 def term_to_json_obj(t: Term) -> dict[str, Any]:
@@ -208,12 +225,12 @@ def term_from_json_obj(obj: Any) -> Term:
         raise ParseError(f"expected an object, got {type(obj).__name__}")
     if "num" in obj:
         text = obj["num"]
-        if not (isinstance(text, str) and text.isdigit()):
+        if not (isinstance(text, str) and _NATURAL.fullmatch(text)):
             raise ParseError(f"bad numeral encoding {text!r}")
-        return Numeral(int(text))
+        return Numeral(_natural(text))
     if "var" in obj:
         name = obj["var"]
-        if not (isinstance(name, str) and name and name.isalnum()):
+        if not (isinstance(name, str) and _IDENT.fullmatch(name)):
             raise ParseError(f"bad variable encoding {name!r}")
         return Var(name)
     op = obj.get("op")

@@ -16,6 +16,7 @@ from fracterm.calculator import (
     RULE_DIV2,
     RULE_FEQ,
     RULE_QCR,
+    Step,
     apply_rule,
     check_equal,
     find_unsafe_fraction,
@@ -352,6 +353,12 @@ class TestNormalizerProperties:
             t = random_unsafe_biased_term(rng, 5)
             nf = normalize_full(t)
             assert eq_syn(replay_derivation(nf.trace), nf.result)
+
+    @pytest.mark.parametrize("conditions", [frozenset(), frozenset({2, 3})])
+    def test_replay_feq_needs_one_condition(self, conditions):
+        step = Step(RULE_FEQ, (), parse("1/2"), parse("2/4"), conditions)
+        with pytest.raises(MatchError, match="FEQ step records"):
+            replay_derivation([step])
 
     def test_trace_json_is_deterministic(self):
         nf1 = normalize_safe(parse("1/2 + 1/3"))

@@ -1,16 +1,28 @@
 """Fraction classification and the three-equality hierarchy."""
 
+import importlib
 import random
 
 import pytest
 
 from fracterm.classify import classify, eq_pair, eq_val, simple_equivalent
 from fracterm.errors import DomainError, EvalError
-from fracterm.meadows import CommonQ, Gfp, Q0
+from fracterm.meadows import ERROR, CommonQ, Gfp, Q0, denote
 from fracterm.syntax import parse
-from fracterm.terms import Add, Div, Neg, Numeral, Var, eq_syn
+from fracterm.terms import (
+    ONE,
+    Add,
+    Div,
+    Neg,
+    Numeral,
+    Var,
+    eq_syn,
+    is_closed,
+    replace_at,
+    subterms,
+)
 
-from termgen import random_closed_term, random_fracterm
+from termgen import random_closed_term, random_fracterm, random_unsafe_biased_term
 
 Q = Q0()
 
@@ -131,6 +143,54 @@ class TestClassificationInvariants:
             assert not (c.is_proper and c.is_improper)
             if c.is_proper or c.is_improper:
                 assert c.is_simple
+
+    @pytest.mark.parametrize("meadow", [Q, CommonQ(), Gfp(2), Gfp(5)], ids=repr)
+    def test_common_and_safe_follow_the_definition(self, meadow):
+        # The definition, applied directly: denote every fraction's denominator.
+        def nonzero(s):
+            v = denote(s, meadow)
+            return v is not ERROR and not meadow.is_zero(v)
+
+        def with_variable(t):
+            pos, sub = rng.choice(subterms(t))
+            return replace_at(t, pos, Add(sub, Var("x")))
+
+        rng = random.Random(24)
+        for _ in range(150):
+            closed = (random_closed_term(rng), random_unsafe_biased_term(rng))
+            for t in (*closed, with_variable(closed[1])):
+                c = classify(t, meadow)
+                fraction = isinstance(t, Div)
+                if not is_closed(t):
+                    assert c.is_common == (None if fraction else False)
+                    assert c.is_safe_term is None
+                    continue
+                assert c.is_common == (fraction and nonzero(t.denominator))
+                assert c.is_safe_term == all(
+                    nonzero(s.denominator) for _, s in subterms(t) if isinstance(s, Div)
+                )
+
+    def test_one_evaluation_per_closed_term(self, monkeypatch):
+        module = importlib.import_module("fracterm.classify")
+        calls = {"evaluate": 0, "denote": 0}
+        real_evaluate = module.evaluate
+
+        def counting_evaluate(*args, **kwargs):
+            calls["evaluate"] += 1
+            return real_evaluate(*args, **kwargs)
+
+        def counting_denote(*args, **kwargs):
+            calls["denote"] += 1
+            return denote(*args, **kwargs)
+
+        monkeypatch.setattr(module, "evaluate", counting_evaluate)
+        monkeypatch.setattr(module, "denote", counting_denote)
+        t = ONE
+        for _ in range(60):
+            t = Div(ONE, Add(ONE, t))
+        c = classify(t, Q)
+        assert c.is_common and c.is_safe_term
+        assert calls == {"evaluate": 1, "denote": 0}
 
     def test_json_shape(self):
         obj = classify(parse("4/2"), Q).to_json_obj()

@@ -32,6 +32,11 @@ class TestParseCommand:
         assert code == 2
         assert "parse error" in err
 
+    def test_oversized_numeral_is_parse_error(self, capsys):
+        code, _, err = run(capsys, "parse", "9" * 5000)
+        assert code == 2
+        assert "4300 digits" in err
+
 
 class TestEvalCommand:
     def test_rational(self, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fracterm.errors import ParseError
+from fracterm.errors import DomainError, ParseError
 from fracterm.fracpairs import (
     Fracpair,
     ZeroMode,
@@ -170,5 +170,5 @@ class TestTextAndJson:
     def test_zero_mode_names(self):
         assert ZeroMode.from_name("sum") is ZeroMode.SUM_NUMERATORS
         assert ZeroMode.from_name("collapse") is ZeroMode.COLLAPSE
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             ZeroMode.from_name("other")

@@ -1,6 +1,8 @@
 """Backend semantics: totalized division, error propagation, identity checks."""
 
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +89,43 @@ class TestPrimeFields:
         for bad in (0, 1, 4, 9, 15):
             with pytest.raises(DomainError):
                 Gfp(bad)
+
+    def test_large_prime_accepted(self):
+        p = 2**61 - 1
+        start = time.perf_counter()
+        assert Gfp(p).p == p
+        assert time.perf_counter() - start < 1.0
+        assert evaluate(parse("1/2"), Gfp(p)) == Residue((p + 1) // 2, p)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # Carmichael number
+            3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+            318665857834031151167461,  # strong pseudoprime to every prime base below 41
+        ],
+    )
+    def test_pseudoprimes_rejected(self, n):
+        with pytest.raises(DomainError, match="must be prime"):
+            Gfp(n)
+
+    def test_modulus_bound(self):
+        with pytest.raises(DomainError, match="3317044064679887385961981"):
+            Gfp(3317044064679887385961981)
+
+    def test_primality_agrees_with_a_sieve(self):
+        n = 10_000
+        sieve = [False, False] + [True] * (n - 2)
+        for i in range(2, math.isqrt(n) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = [False] * len(range(i * i, n, i))
+        for k in range(n):
+            try:
+                Gfp(k)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == sieve[k], k
 
 
 class TestCommonMeadow:

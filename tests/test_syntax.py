@@ -68,6 +68,20 @@ class TestParse:
             parse("1+$")
         assert exc_info.value.position == 2
 
+    @pytest.mark.parametrize(
+        ("src", "column"),
+        [("9" * 5000, 0), ("1+" + "9" * 5000, 2), ("1_1/" + "9" * 5000, 4)],
+        ids=["alone", "summand", "mixed"],
+    )
+    def test_oversized_numeral(self, src, column):
+        with pytest.raises(ParseError, match="limit of 4300 digits") as exc_info:
+            parse(src)
+        assert exc_info.value.position == column
+
+    def test_oversized_json_numeral(self):
+        with pytest.raises(ParseError, match="limit of 4300 digits"):
+            term_from_json_obj({"num": "9" * 5000})
+
 
 class TestPrint:
     def test_fraction(self):
@@ -110,6 +124,10 @@ class TestJson:
             {"op": "neg", "args": []},
             {"op": "add", "args": [{"num": "1"}]},
             [],
+            {"num": "\u00b2"},
+            {"num": "\u0663"},
+            {"var": "\u00e9"},
+            {"var": "1x"},
         ],
     )
     def test_rejects_malformed(self, obj):
