@@ -51,7 +51,7 @@ from .terms import (
     Term,
     ZERO,
     as_signed_numeral,
-    contains_div,
+    children,
     eq_syn,
     is_closed,
     replace_at,
@@ -173,17 +173,47 @@ def _fold_mul(t: Term, k: int) -> Term:
     return Mul(t, Numeral(k))
 
 
+#: ``(n, l)``: the flat fraction ``n/l`` with ``l >= 1`` and ``gcd(n, l) = 1``.
+_Frac = tuple[int, int]
+
+
+def _flat(n: int, l: int) -> Div:
+    """The flat fraction ``n/l`` over a signed numeral and a numeral."""
+    return Div(signed_numeral(n), Numeral(l))
+
+
 class _Engine:
-    """Bottom-up rewriting session over one whole term."""
+    """One innermost rewriting pass over a whole term.
+
+    ``_norm(t, pos)`` takes the original subterm ``t`` at ``pos``, rewrites it
+    to its canonical shape, and returns the integers of that shape.  Each
+    contractum is built from the integers its operands returned, so the pass
+    never reads the rewritten term back; only ``_rewrite`` touches the whole
+    term, to record it before and after each step.
+    """
 
     def __init__(self, term: Term, safe: bool):
         self.current = term
         self.safe = safe
         self.steps: Derivation = []
         self.conditions: set[int] = set()
+        # Keyed by id: the input outlives the pass, so no id is reused.
+        self.values: dict[int, int] = {}
+        self._record_values(term)
 
-    def _sub(self, pos: Position) -> Term:
-        return subterm_at(self.current, pos)
+    def _record_values(self, t: Term) -> int | None:
+        """Record the value of every division-free subterm of ``t``; return ``t``'s."""
+        kids = [self._record_values(c) for c in children(t)]
+        if isinstance(t, Div) or None in kids:
+            return None
+        if isinstance(t, Numeral):
+            v = t.value
+        elif isinstance(t, Neg):
+            v = -kids[0]
+        else:
+            v = kids[0] + kids[1] if isinstance(t, Add) else kids[0] * kids[1]
+        self.values[id(t)] = v
+        return v
 
     def _rewrite(self, pos: Position, rule: str, new_sub: Term, conds=()) -> None:
         before = self.current
@@ -195,176 +225,117 @@ class _Engine:
 
     # -- canonical shapes -------------------------------------------------
     #
-    # Normalized subterms take one of two shapes:
-    #   pure:  k  or  -(k)          (a signed numeral)
-    #   frac:  Div(pure, l) with l a positive numeral, gcd-reduced
-    # ``_norm`` returns which shape the subterm at ``pos`` now has; a
-    # subterm normalizes to ``frac`` exactly when a division occurs in it.
+    # Normalized subterms take one of two shapes, and ``_norm`` returns the
+    # integers of the shape the subterm at ``pos`` now has:
+    #   v       for the signed numeral  k  or  -(k)  denoting v
+    #   (n, l)  for the reduced flat fraction  Div(signed numeral n, numeral l)
+    # A subterm normalizes to ``(n, l)`` exactly when a division occurs in it.
 
-    def _canon_pure(self, pos: Position) -> None:
-        t = self._sub(pos)
-        canon = signed_numeral(_ring_value(t))
-        if not eq_syn(t, canon):
-            self._rewrite(pos, RULE_CR_EVAL, canon)
+    def _canon_pure(self, pos: Position, t: Term, v: int) -> int:
+        """Rewrite division-free ``t`` at ``pos``, denoting ``v``, to a signed numeral."""
+        if as_signed_numeral(t) is None:
+            self._rewrite(pos, RULE_CR_EVAL, signed_numeral(v))
+        return v
 
-    def _embed(self, pos: Position) -> None:
-        self._rewrite(pos, RULE_CR_EMBED, Div(self._sub(pos), ONE))
+    def _contract(
+        self, pos: Position, rule: str, num: Term, den: Term, nv: int, dv: int, conds=()
+    ) -> _Frac:
+        """Rewrite to ``num/den``, evaluate both to ``nv`` and ``dv``, and finalize."""
+        self._rewrite(pos, rule, Div(num, den), conds)
+        self._canon_pure(pos + (0,), num, nv)
+        self._canon_pure(pos + (1,), den, dv)
+        return self._finalize_fraction(pos, nv, dv)
 
-    def _frac_parts(self, pos: Position) -> tuple[int, int]:
-        t = self._sub(pos)
-        assert isinstance(t, Div)
-        nv = as_signed_numeral(t.numerator)
-        dv = as_signed_numeral(t.denominator)
-        assert nv is not None and dv is not None
-        return nv, dv
-
-    def _finalize_fraction(self, pos: Position) -> None:
-        """Bring ``Div(pure, pure)`` at ``pos`` to canonical reduced form."""
-        nv, dv = self._frac_parts(pos)
+    def _finalize_fraction(self, pos: Position, nv: int, dv: int) -> _Frac:
+        """Bring ``Div(nv, dv)`` of signed numerals at ``pos`` to reduced form."""
         if dv == 0:
             if self.safe:  # pragma: no cover - excluded by the safety precheck
                 raise AssertionError("zero denominator reached in safe mode")
             self._rewrite(pos, RULE_DBZ, Div(ZERO, ONE))
-            return
+            return 0, 1
         if dv < 0:
-            t = self._sub(pos)
-            assert isinstance(t, Div) and isinstance(t.denominator, Neg)
-            self._rewrite(pos, RULE_CR_FRAC, Div(Neg(t.numerator), t.denominator.arg))
-            self._canon_pure(pos + (0,))
-            nv, dv = -nv, -dv
+            num = Neg(signed_numeral(nv))
+            return self._contract(pos, RULE_CR_FRAC, num, Numeral(-dv), -nv, -dv)
         # The calculation relies on this denominator being nonzero; record
         # the witness so the derivation can be re-checked in prime fields.
         self.conditions.add(dv)
-        g = math.gcd(abs(nv), dv)
+        g = math.gcd(nv, dv)
         if g > 1:
-            self._rewrite(
-                pos,
-                RULE_FEQ,
-                Div(signed_numeral(nv // g), Numeral(dv // g)),
-                conds=(g,),
-            )
+            nv, dv = nv // g, dv // g
+            self._rewrite(pos, RULE_FEQ, _flat(nv, dv), conds=(g,))
+        return nv, dv
 
     # -- structural cases --------------------------------------------------
 
-    def _norm(self, pos: Position) -> str:
-        t = self._sub(pos)
-        if not contains_div(t):
-            self._canon_pure(pos)
-            return "pure"
+    def _norm(self, t: Term, pos: Position) -> int | _Frac:
+        v = self.values.get(id(t))
+        if v is not None:
+            return self._canon_pure(pos, t, v)
         if isinstance(t, Neg):
-            self._norm(pos + (0,))
-            inner = self._sub(pos + (0,))
-            assert isinstance(inner, Div)
-            self._rewrite(pos, RULE_CR_FRAC, Div(Neg(inner.numerator), inner.denominator))
-            self._canon_pure(pos + (0,))
-            return "frac"
+            n, l = self._norm(t.arg, pos + (0,))
+            num = Neg(signed_numeral(n))
+            self._rewrite(pos, RULE_CR_FRAC, Div(num, Numeral(l)))
+            return self._canon_pure(pos + (0,), num, -n), l
+        if isinstance(t, Div):
+            return self._norm_division(t, pos)
+        left = self._norm_fraction(t.left, pos + (0,))
+        right = self._norm_fraction(t.right, pos + (1,))
         if isinstance(t, Add):
-            self._norm_binary_operands(pos)
-            self._merge_sum(pos)
-            return "frac"
-        if isinstance(t, Mul):
-            self._norm_binary_operands(pos)
-            self._merge_product(pos)
-            return "frac"
-        # Only Div remains: leaves never contain a division.
-        assert isinstance(t, Div)
-        self._norm_division(pos)
-        return "frac"
+            return self._merge_sum(pos, left, right)
+        return self._merge_product(pos, left, right)
 
-    def _norm_binary_operands(self, pos: Position) -> None:
-        """Normalize both operands and embed any pure one as ``x/1``."""
-        for i in (0, 1):
-            if self._norm(pos + (i,)) == "pure":
-                self._embed(pos + (i,))
+    def _norm_fraction(self, t: Term, pos: Position) -> _Frac:
+        """Normalize ``t`` at ``pos`` and embed a pure result as ``x/1``."""
+        shape = self._norm(t, pos)
+        if isinstance(shape, tuple):
+            return shape
+        self._rewrite(pos, RULE_CR_EMBED, _flat(shape, 1))
+        return shape, 1
 
-    def _merge_sum(self, pos: Position) -> None:
-        _, l1 = self._frac_parts(pos + (0,))
-        _, l2 = self._frac_parts(pos + (1,))
-        if self.safe:
-            g = math.gcd(l1, l2)
-            for i, mult in ((0, l2 // g), (1, l1 // g)):
-                if mult > 1:
-                    sub = self._sub(pos + (i,))
-                    assert isinstance(sub, Div) and isinstance(sub.denominator, Numeral)
-                    self._rewrite(
-                        pos + (i,),
-                        RULE_FEQ,
-                        Div(
-                            _fold_mul(sub.numerator, mult),
-                            Numeral(sub.denominator.value * mult),
-                        ),
-                        conds=(mult,),
-                    )
-            left = self._sub(pos + (0,))
-            right = self._sub(pos + (1,))
-            assert isinstance(left, Div) and isinstance(right, Div)
-            self._rewrite(
-                pos,
-                RULE_QCR,
-                Div(Add(left.numerator, right.numerator), left.denominator),
-            )
-            self._canon_pure(pos + (0,))
-        else:
-            left = self._sub(pos + (0,))
-            right = self._sub(pos + (1,))
-            assert isinstance(left, Div) and isinstance(right, Div)
-            self._rewrite(
-                pos,
-                RULE_CFAR,
-                Div(
-                    Add(
-                        Mul(left.numerator, right.denominator),
-                        Mul(left.denominator, right.numerator),
-                    ),
-                    Mul(left.denominator, right.denominator),
-                ),
-                conds=(l1, l2),
-            )
-            self._canon_pure(pos + (0,))
-            self._canon_pure(pos + (1,))
-        self._finalize_fraction(pos)
+    def _merge_sum(self, pos: Position, left: _Frac, right: _Frac) -> _Frac:
+        (n1, l1), (n2, l2) = left, right
+        if not self.safe:
+            x, y, u, w = signed_numeral(n1), Numeral(l1), signed_numeral(n2), Numeral(l2)
+            num, den = Add(Mul(x, w), Mul(y, u)), Mul(y, w)
+            nv, dv = n1 * l2 + l1 * n2, l1 * l2
+            return self._contract(pos, RULE_CFAR, num, den, nv, dv, (l1, l2))
+        g = math.gcd(l1, l2)
+        m1, m2 = l2 // g, l1 // g
+        for i, n, l, mult in ((0, n1, l1, m1), (1, n2, l2, m2)):
+            if mult > 1:
+                self._rewrite(pos + (i,), RULE_FEQ, _flat(n * mult, l * mult), (mult,))
+        num, den = Add(signed_numeral(n1 * m1), signed_numeral(n2 * m2)), l1 * m1
+        return self._contract(pos, RULE_QCR, num, Numeral(den), n1 * m1 + n2 * m2, den)
 
-    def _merge_product(self, pos: Position) -> None:
-        left = self._sub(pos + (0,))
-        right = self._sub(pos + (1,))
-        assert isinstance(left, Div) and isinstance(right, Div)
-        self._rewrite(
-            pos,
-            RULE_CR_MUL,
-            Div(
-                Mul(left.numerator, right.numerator),
-                Mul(left.denominator, right.denominator),
-            ),
-        )
-        self._canon_pure(pos + (0,))
-        self._canon_pure(pos + (1,))
-        self._finalize_fraction(pos)
+    def _merge_product(self, pos: Position, left: _Frac, right: _Frac) -> _Frac:
+        (n1, l1), (n2, l2) = left, right
+        num = Mul(signed_numeral(n1), signed_numeral(n2))
+        den = Mul(Numeral(l1), Numeral(l2))
+        return self._contract(pos, RULE_CR_MUL, num, den, n1 * n2, l1 * l2)
 
-    def _norm_division(self, pos: Position) -> None:
-        num_shape = self._norm(pos + (0,))
-        den_shape = self._norm(pos + (1,))
-        if num_shape == "frac":
-            t = self._sub(pos)
-            assert isinstance(t, Div) and isinstance(t.numerator, Div)
-            self._rewrite(
-                pos,
-                RULE_DIV1,
-                Div(
-                    t.numerator.numerator,
-                    Mul(t.numerator.denominator, t.denominator),
-                ),
-            )
-            den_shape = self._norm(pos + (1,))
-        if den_shape == "frac":
-            t = self._sub(pos)
-            assert isinstance(t, Div) and isinstance(t.denominator, Div)
-            x = t.numerator
-            y = t.denominator.numerator
-            z = t.denominator.denominator
-            self._rewrite(pos, RULE_DIV2, Div(Mul(Mul(x, z), z), Mul(y, z)))
-            self._canon_pure(pos + (0,))
-            self._canon_pure(pos + (1,))
-        self._finalize_fraction(pos)
+    def _norm_division(self, t: Div, pos: Position) -> _Frac:
+        num = self._norm(t.numerator, pos + (0,))
+        den = self._norm(t.denominator, pos + (1,))
+        if isinstance(num, tuple):
+            num, l1 = num
+            old_den = _flat(*den) if isinstance(den, tuple) else signed_numeral(den)
+            new_den = Mul(Numeral(l1), old_den)
+            self._rewrite(pos, RULE_DIV1, Div(signed_numeral(num), new_den))
+            # Normalize the new denominator ``l1 * den`` as its own subterm.
+            if isinstance(den, tuple):
+                self._rewrite(pos + (1, 0), RULE_CR_EMBED, _flat(l1, 1))
+                # ``den`` is reduced already: it takes no step, but its
+                # denominator is recorded again as a finalized fraction's.
+                self.conditions.add(den[1])
+                den = self._merge_product(pos + (1,), (l1, 1), den)
+            else:
+                den = self._canon_pure(pos + (1,), new_den, l1 * den)
+        if isinstance(den, tuple):
+            n2, l2 = den
+            x, y, z = signed_numeral(num), signed_numeral(n2), Numeral(l2)
+            top, bottom = Mul(Mul(x, z), z), Mul(y, z)
+            return self._contract(pos, RULE_DIV2, top, bottom, num * l2 * l2, n2 * l2)
+        return self._finalize_fraction(pos, num, den)
 
 
 def _normalize(t: Term, safe: bool) -> NormalForm:
@@ -381,8 +352,7 @@ def _normalize(t: Term, safe: bool) -> NormalForm:
                 position=pos,
             )
     engine = _Engine(t, safe)
-    if engine._norm(()) == "pure":
-        engine._embed(())
+    engine._norm_fraction(t, ())
     return NormalForm(engine.current, engine.conditions, engine.steps)
 
 

@@ -27,7 +27,7 @@ from .fracpairs import (
     parse_fracpair,
 )
 from .meadows import Gfp, check_identity, denote, format_value, meadow_from_name
-from .syntax import parse, term_to_json_obj, to_text
+from .syntax import _decimal, parse, term_to_json_obj, to_text
 from .terms import eq_syn
 
 # Named identities checkable on any backend; each entry is
@@ -54,6 +54,11 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _condition_list(conditions: set[int]) -> str:
+    """The sorted conditions as a list literal; raises DomainError if one is too long."""
+    return f"[{', '.join(_decimal(k) for k in sorted(conditions))}]"
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     term = parse(args.expr)
     if args.json:
@@ -78,11 +83,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_normalize(args: argparse.Namespace) -> int:
     term = parse(args.expr)
     nf = normalize_safe(term) if args.mode == "safe" else normalize_full(term)
+    # Every condition of every step is in nf.conditions, so this also
+    # checks the trace's condition lists before JSON encoding would fail.
+    conditions = _condition_list(nf.conditions)
     if args.trace:
         _emit(nf.to_json_obj())
     else:
         print(to_text(nf.result))
-        print(f"conditions: {sorted(nf.conditions)}")
+        print(f"conditions: {conditions}")
     return 0
 
 
@@ -99,6 +107,7 @@ def _cmd_equal(args: argparse.Namespace) -> int:
         print("true" if outcome else "false")
     else:
         evidence = check_equal(s, t, args.mode)
+        _condition_list(evidence.conditions)  # a DomainError here, not in json.dumps
         _emit(evidence.to_json_obj())
     return 0
 

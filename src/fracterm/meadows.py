@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
+from .syntax import _decimal
 from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, free_vars
 
 __all__ = [
@@ -260,6 +261,9 @@ def denote(t: Term, meadow: Meadow) -> MeadowValue:
 def format_value(v: MeadowValue) -> str:
     if v is ERROR:
         return "a"
+    if isinstance(v, Fraction):
+        text = _decimal(v.numerator)
+        return text if v.denominator == 1 else f"{text}/{_decimal(v.denominator)}"
     return str(v)
 
 

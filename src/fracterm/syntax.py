@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .terms import Add, Div, Mul, Neg, Numeral, Term, Var
 
 __all__ = [
@@ -52,6 +52,15 @@ def _natural(digits: str, column: int | None = None) -> int:
             f"{sys.get_int_max_str_digits()} digits",
             column,
         ) from None
+
+
+def _decimal(k: int) -> str:
+    """``str(k)``, or a :class:`DomainError` past Python's int/str limit."""
+    try:
+        return str(k)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"integer exceeds the limit of {limit} digits for output") from None
 
 
 def _tokenize(src: str) -> list[_Token]:
@@ -182,7 +191,7 @@ def parse(src: str) -> Term:
 def to_text(t: Term) -> str:
     """Fully parenthesized infix text; ``parse(to_text(t))`` gives ``t`` back."""
     if isinstance(t, Numeral):
-        return str(t.value)
+        return _decimal(t.value)
     if isinstance(t, Var):
         return t.name
     if isinstance(t, Add):
@@ -203,7 +212,7 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 def term_to_json_obj(t: Term) -> dict[str, Any]:
     """Tree encoding for machine consumers; numerals as decimal strings."""
     if isinstance(t, Numeral):
-        return {"num": str(t.value)}
+        return {"num": _decimal(t.value)}
     if isinstance(t, Var):
         return {"var": t.name}
     if isinstance(t, Neg):

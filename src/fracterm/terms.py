@@ -115,6 +115,7 @@ def as_signed_numeral(t: Term) -> int | None:
 
 
 def children(t: Term) -> tuple[Term, ...]:
+    """The operands of ``t``, in the order its constructor takes them."""
     if isinstance(t, (Numeral, Var)):
         return ()
     if isinstance(t, Neg):
@@ -122,18 +123,6 @@ def children(t: Term) -> tuple[Term, ...]:
     if isinstance(t, Div):
         return (t.numerator, t.denominator)
     return (t.left, t.right)
-
-
-def _with_children(t: Term, kids: tuple[Term, ...]) -> Term:
-    if isinstance(t, Neg):
-        return Neg(kids[0])
-    if isinstance(t, Div):
-        return Div(kids[0], kids[1])
-    if isinstance(t, Add):
-        return Add(kids[0], kids[1])
-    if isinstance(t, Mul):
-        return Mul(kids[0], kids[1])
-    return t
 
 
 def expand_numeral(t: Term) -> Term:
@@ -148,14 +137,18 @@ def expand_numeral(t: Term) -> Term:
     kids = children(t)
     if not kids:
         return t
-    return _with_children(t, tuple(expand_numeral(c) for c in kids))
+    return type(t)(*(expand_numeral(c) for c in kids))
 
 
 def is_closed(t: Term) -> bool:
     """True iff no variable occurs in ``t``."""
-    if isinstance(t, Var):
-        return False
-    return all(is_closed(c) for c in children(t))
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        if isinstance(s, Var):
+            return False
+        stack.extend(children(s))
+    return True
 
 
 def free_vars(t: Term) -> set[str]:
@@ -169,7 +162,15 @@ def free_vars(t: Term) -> set[str]:
 
 def eq_syn(s: Term, t: Term) -> bool:
     """Syntactic equality: identical trees, no arithmetic identification."""
-    return s == t
+    pairs = [(s, t)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is not b:
+            kids = children(a)
+            if type(a) is not type(b) or (not kids and a != b):
+                return False
+            pairs.extend(zip(kids, children(b)))
+    return True
 
 
 def node_count(t: Term) -> int:
@@ -212,18 +213,18 @@ def subterm_at(t: Term, pos: Position) -> Term:
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """Return a copy of ``t`` with the subterm at ``pos`` replaced by ``new``."""
-    if not pos:
-        return new
-    i = pos[0]
-    kids = children(t)
-    if i < 0 or i >= len(kids):
-        raise PositionError(
-            f"position index {i} out of range for {type(t).__name__}"
-        )
-    new_kids = tuple(
-        replace_at(c, pos[1:], new) if j == i else c for j, c in enumerate(kids)
-    )
-    return _with_children(t, new_kids)
+    spine: list[tuple[type, tuple[Term, ...], int]] = []
+    for i in pos:
+        kids = children(t)
+        if i < 0 or i >= len(kids):
+            raise PositionError(
+                f"position index {i} out of range for {type(t).__name__}"
+            )
+        spine.append((type(t), kids, i))
+        t = kids[i]
+    for cls, kids, i in reversed(spine):
+        new = cls(*kids[:i], new, *kids[i + 1 :])
+    return new
 
 
 def contains_div(t: Term) -> bool:

@@ -278,11 +278,17 @@ def test_c8_golden_examples():
         assert halves.equal
         assert eq_val(parse("1/2 + 1/2"), parse("2/2"), Q)
 
+        # Between them these two derivations use all ten rules.
+        safe_rules = normalize_safe(parse("-(1/2) + 3/(-6) + (4/6)/(2/3) + 5"))
+        full_rules = normalize_full(parse("(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)"))
+
         artifacts = {
             "classify_uncommon.json": uncommon.to_json_obj(),
             "classify_composed.json": composed.to_json_obj(),
             "normalize_sum_over_seven.json": nf.to_json_obj(),
             "equal_halves.json": halves.to_json_obj(),
+            "normalize_safe_all_safe_rules.json": safe_rules.to_json_obj(),
+            "normalize_full_zero_denominators.json": full_rules.to_json_obj(),
         }
         for name, obj in artifacts.items():
             path = GOLDEN / name

@@ -367,3 +367,36 @@ class TestNormalizerProperties:
         obj = nf1.to_json_obj()
         assert set(obj) == {"result", "conditions", "steps"}
         assert obj["conditions"] == sorted(obj["conditions"])
+
+
+def _left_sum(items):
+    acc = items[0]
+    for item in items[1:]:
+        acc = Add(acc, item)
+    return acc
+
+
+def _continued_fraction(depth):
+    t = Numeral(1)
+    for _ in range(depth):
+        t = Div(Numeral(1), Add(Numeral(1), t))
+    return t
+
+
+DEEP_TERMS = {
+    "harmonic_300": lambda: _left_sum([Div(Numeral(1), Numeral(i)) for i in range(1, 301)]),
+    "halves_400": lambda: _left_sum([Div(Numeral(1), Numeral(2))] * 400),
+    "continued_200": lambda: _continued_fraction(200),
+}
+
+
+class TestDeepTerms:
+    """Terms deep enough that a rewrite step must not recurse per level."""
+
+    @pytest.mark.parametrize("name", sorted(DEEP_TERMS))
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_normalizes_and_replays(self, name, normalize):
+        t = DEEP_TERMS[name]()
+        nf = normalize(t)
+        assert q0_value(nf.result) == q0_value(t)
+        assert eq_syn(replay_derivation(nf.trace), nf.result)

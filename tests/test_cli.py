@@ -101,6 +101,35 @@ class TestNormalizeCommand:
         _, second, _ = run(capsys, "normalize", "1/2+1/3", "--trace")
         assert first == second
 
+    def test_deep_sum(self, capsys):
+        code, out, _ = run(capsys, "normalize", "+".join(["1/2"] * 400))
+        assert code == 0
+        assert out == "(200/1)\nconditions: [2]\n"
+
+
+# 3000 nines: parses, but its square has 6000 digits, past the int/str limit.
+NINES = "9" * 3000
+
+
+class TestOutputLimit:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["normalize", f"{NINES}*{NINES}"],
+            ["eval", f"{NINES}*{NINES}"],
+            ["normalize", f"({NINES}*{NINES})/({NINES}*{NINES}+1)", "--trace"],
+            # the result is 2/1; only the condition list is too long
+            ["normalize", f"(2*{NINES}*{NINES})/({NINES}*{NINES})"],
+            ["equal", f"{NINES}*{NINES}", "1"],
+        ],
+        ids=["normalize", "eval", "trace", "conditions", "equal"],
+    )
+    def test_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert "limit of 4300 digits" in err
+
 
 class TestEqualCommand:
     def test_relation_val(self, capsys):
