@@ -33,13 +33,12 @@ derivation in a prime field where some of them vanish.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, EvalError, MatchError, SafetyError
 from .meadows import Q0, evaluate
-from .syntax import term_to_json_obj, to_text
+from .syntax import _dumps, term_to_json_obj, to_text
 from .terms import (
     Add,
     Div,
@@ -49,11 +48,13 @@ from .terms import (
     ONE,
     Position,
     Term,
+    Var,
     ZERO,
     as_signed_numeral,
     children,
     eq_syn,
     is_closed,
+    postorder,
     replace_at,
     signed_numeral,
     subterm_at,
@@ -134,20 +135,27 @@ class NormalForm:
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent)
+        return _dumps(self.to_json_obj(), indent)
 
 
 def _ring_value(t: Term) -> int:
     """Integer value of a division-free closed term."""
-    if isinstance(t, Numeral):
-        return t.value
-    if isinstance(t, Add):
-        return _ring_value(t.left) + _ring_value(t.right)
-    if isinstance(t, Mul):
-        return _ring_value(t.left) * _ring_value(t.right)
-    if isinstance(t, Neg):
-        return -_ring_value(t.arg)
-    raise MatchError(f"not a division-free closed term: {to_text(t)}")
+    vals: list[int] = []
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Numeral:
+            vals.append(s.value)
+        elif cls is Neg:
+            vals[-1] = -vals[-1]
+        elif cls is Add or cls is Mul:
+            y = vals.pop()
+            vals[-1] = vals[-1] + y if cls is Add else vals[-1] * y
+        else:  # name the outermost offender, the first one in preorder
+            stack = [t]
+            while type(stack[-1]) not in (Div, Var):
+                stack += reversed(children(stack.pop()))
+            raise MatchError(f"not a division-free closed term: {to_text(stack[-1])}")
+    return vals[0]
 
 
 def find_unsafe_fraction(t: Term) -> tuple[Position, Term] | None:
@@ -201,19 +209,19 @@ class _Engine:
         self.values: dict[int, int] = {}
         self._record_values(term)
 
-    def _record_values(self, t: Term) -> int | None:
-        """Record the value of every division-free subterm of ``t``; return ``t``'s."""
-        kids = [self._record_values(c) for c in children(t)]
-        if isinstance(t, Div) or None in kids:
-            return None
-        if isinstance(t, Numeral):
-            v = t.value
-        elif isinstance(t, Neg):
-            v = -kids[0]
-        else:
-            v = kids[0] + kids[1] if isinstance(t, Add) else kids[0] * kids[1]
-        self.values[id(t)] = v
-        return v
+    def _record_values(self, t: Term) -> None:
+        """Record the value of every division-free subterm of ``t``."""
+        values = self.values
+        for s in postorder(t):
+            cls = type(s)
+            if cls is Numeral:
+                values[id(s)] = s.value
+            elif cls is Neg:
+                if id(s.arg) in values:
+                    values[id(s)] = -values[id(s.arg)]
+            elif cls is not Div and id(s.left) in values and id(s.right) in values:
+                x, y = values[id(s.left)], values[id(s.right)]
+                values[id(s)] = x + y if cls is Add else x * y
 
     def _rewrite(self, pos: Position, rule: str, new_sub: Term, conds=()) -> None:
         before = self.current
@@ -352,7 +360,10 @@ def _normalize(t: Term, safe: bool) -> NormalForm:
                 position=pos,
             )
     engine = _Engine(t, safe)
-    engine._norm_fraction(t, ())
+    try:
+        engine._norm_fraction(t, ())
+    except RecursionError:
+        raise DomainError("the term nests too deeply to normalize") from None
     return NormalForm(engine.current, engine.conditions, engine.steps)
 
 

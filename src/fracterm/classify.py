@@ -19,7 +19,7 @@ denoted values (``eq_val``).  Each implies the next.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .meadows import Meadow, MeadowValue, denote, evaluate
@@ -74,29 +74,10 @@ class Classification:
     denominator: Term | None
 
     def to_json_obj(self) -> dict:
-        out: dict = {}
-        for flag in (
-            "is_fraction",
-            "is_closed",
-            "is_flat",
-            "is_composed",
-            "is_common",
-            "is_uncommon",
-            "is_safe_term",
-            "is_safe_fraction",
-            "is_simple",
-            "is_unit",
-            "is_simplified",
-            "is_proper",
-            "is_improper",
-            "is_scheinbruch",
-        ):
-            out[flag] = getattr(self, flag)
-        out["sign"] = self.sign
-        out["numerator"] = None if self.numerator is None else to_text(self.numerator)
-        out["denominator"] = (
-            None if self.denominator is None else to_text(self.denominator)
-        )
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for key in ("numerator", "denominator"):
+            if out[key] is not None:
+                out[key] = to_text(out[key])
         return out
 
 

@@ -9,7 +9,6 @@ stdout, diagnostics to stderr.  Exit status: 0 success, 2 parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .calculator import check_equal, normalize_full, normalize_safe
@@ -27,7 +26,7 @@ from .fracpairs import (
     parse_fracpair,
 )
 from .meadows import Gfp, check_identity, denote, format_value, meadow_from_name
-from .syntax import _decimal, parse, term_to_json_obj, to_text
+from .syntax import _decimal, _dumps, parse, term_to_json_obj, to_text
 from .terms import eq_syn
 
 # Named identities checkable on any backend; each entry is
@@ -51,7 +50,7 @@ AXIOMS: dict[str, tuple[str, str, tuple[str, ...]]] = {
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj, indent=2))
 
 
 def _condition_list(conditions: set[int]) -> str:

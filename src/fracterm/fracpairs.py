@@ -17,6 +17,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
+from .syntax import _decimal, _natural
 
 __all__ = [
     "Fracpair",
@@ -40,7 +41,7 @@ class Fracpair:
     den: int
 
     def __str__(self) -> str:
-        return f"{self.num}/{self.den}"
+        return f"{_decimal(self.num)}/{_decimal(self.den)}"
 
 
 class ZeroMode(Enum):
@@ -117,15 +118,16 @@ def fp_value(a: Fracpair) -> Fraction:
     return Fraction(a.num, a.den)
 
 
-_PAIR_RE = re.compile(r"^\s*(-?\d+)\s*/\s*(-?\d+)\s*$")
+_PAIR_RE = re.compile(r"^\s*(-?)(\d+)\s*/\s*(-?)(\d+)\s*$")
 
 
 def parse_fracpair(text: str) -> Fracpair:
     m = _PAIR_RE.match(text)
     if m is None:
         raise ParseError(f"bad fracpair literal {text!r} (expected p/q)")
-    return Fracpair(int(m.group(1)), int(m.group(2)))
+    num, den = _natural(m.group(2), m.start(2)), _natural(m.group(4), m.start(4))
+    return Fracpair(-num if m.group(1) else num, -den if m.group(3) else den)
 
 
 def fracpair_to_json_obj(a: Fracpair) -> dict[str, str]:
-    return {"num": str(a.num), "den": str(a.den)}
+    return {"num": _decimal(a.num), "den": _decimal(a.den)}

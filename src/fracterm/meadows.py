@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
 from .syntax import _decimal
-from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, free_vars
+from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, free_vars, postorder
 
 __all__ = [
     "Q0",
@@ -225,29 +225,36 @@ def evaluate(
     fractions that contain them.  The numerator is evaluated before the
     denominator, so an unbound variable is reported left to right.
     """
-    env = assignment or {}
+    return _evaluate(postorder(t), meadow, assignment or {}, unsafe)
 
-    def go(s: Term) -> MeadowValue:
-        if isinstance(s, Numeral):
-            return meadow.from_int(s.value)
-        if isinstance(s, Var):
+
+def _evaluate(
+    nodes: list[Term], meadow: Meadow, env: Assignment, unsafe: list[Div] | None = None
+) -> MeadowValue:
+    """:func:`evaluate` over a term's :func:`postorder` node list."""
+    vals: list[MeadowValue] = []
+    for s in nodes:
+        cls = type(s)
+        if cls is Numeral:
+            vals.append(meadow.from_int(s.value))
+        elif cls is Var:
             try:
-                return env[s.name]
+                vals.append(env[s.name])
             except KeyError:
                 raise EvalError(f"unbound variable {s.name!r}") from None
-        if isinstance(s, Add):
-            return meadow.add(go(s.left), go(s.right))
-        if isinstance(s, Mul):
-            return meadow.mul(go(s.left), go(s.right))
-        if isinstance(s, Neg):
-            return meadow.neg(go(s.arg))
-        num = go(s.numerator)
-        den = go(s.denominator)
-        if unsafe is not None and (den is ERROR or meadow.is_zero(den)):
-            unsafe.append(s)
-        return meadow.div(num, den)
-
-    return go(t)
+        elif cls is Neg:
+            vals[-1] = meadow.neg(vals[-1])
+        else:
+            y = vals.pop()
+            if cls is Add:
+                vals[-1] = meadow.add(vals[-1], y)
+            elif cls is Mul:
+                vals[-1] = meadow.mul(vals[-1], y)
+            else:
+                if unsafe is not None and (y is ERROR or meadow.is_zero(y)):
+                    unsafe.append(s)
+                vals[-1] = meadow.div(vals[-1], y)
+    return vals[0]
 
 
 def denote(t: Term, meadow: Meadow) -> MeadowValue:
@@ -307,9 +314,10 @@ def check_identity(
     conditions exclude.  On the infinite backends a list of sample
     assignments must be supplied.
     """
-    conditions = list(conditions)
+    lhs, rhs = postorder(lhs), postorder(rhs)
+    conditions = [postorder(c) for c in conditions]
     names = sorted(
-        set().union(free_vars(lhs), free_vars(rhs), *(free_vars(c) for c in conditions))
+        {s.name for nodes in (lhs, rhs, *conditions) for s in nodes if type(s) is Var}
     )
 
     if isinstance(meadow, Gfp):
@@ -327,9 +335,9 @@ def check_identity(
     checked = 0
     for env in assignments:
         checked += 1
-        if any(meadow.is_zero(evaluate(c, meadow, env)) for c in conditions):
+        if any(meadow.is_zero(_evaluate(c, meadow, env)) for c in conditions):
             continue
-        if evaluate(lhs, meadow, env) != evaluate(rhs, meadow, env):
+        if _evaluate(lhs, meadow, env) != _evaluate(rhs, meadow, env):
             return CheckReport("counterexample", checked, dict(env))
     return CheckReport("valid", checked, None)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .errors import DomainError, ParseError
-from .terms import Add, Div, Mul, Neg, Numeral, Term, Var
+from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, postorder
 
 __all__ = [
     "parse",
@@ -33,6 +33,10 @@ __all__ = [
     "term_to_json",
     "term_from_json",
 ]
+
+
+# The rest of a mixed literal after its whole part: '_' digits '/' digits, no spaces.
+_MIXED_TAIL = re.compile(r"_([0-9]+)/([0-9]+)")
 
 
 @dataclass(frozen=True)
@@ -75,33 +79,21 @@ def _tokenize(src: str) -> list[_Token]:
             continue
         start = i
         if c.isdigit():
-            while i < n and src[i].isdigit():
-                i += 1
+            i = _NATURAL.match(src, i).end()
             first = _natural(src[start:i], start)
             if i < n and src[i] == "_":
-                # mixed literal: digits '_' digits '/' digits, no spaces
-                j = i + 1
-                p0 = j
-                while j < n and src[j].isdigit():
-                    j += 1
-                if j == p0 or j >= n or src[j] != "/":
+                m = _MIXED_TAIL.match(src, i)
+                if m is None:
                     raise ParseError("malformed mixed literal", start)
-                j += 1
-                q0 = j
-                while j < n and src[j].isdigit():
-                    j += 1
-                if j == q0:
-                    raise ParseError("malformed mixed literal", start)
-                num, den = _natural(src[p0 : q0 - 1], p0), _natural(src[q0:j], q0)
+                num, den = _natural(m[1], m.start(1)), _natural(m[2], m.start(2))
                 tokens.append(_Token("mixed", (first, num, den), start))
-                i = j
+                i = m.end()
             elif i < n and src[i] == ".":
                 raise ParseError("decimal fractions are not supported", i)
             else:
                 tokens.append(_Token("nat", first, start))
         elif c.isalpha():
-            while i < n and src[i].isalnum():
-                i += 1
+            i = _IDENT.match(src, i).end()
             tokens.append(_Token("ident", src[start:i], start))
         elif c in "+-*/()":
             tokens.append(_Token(c, c, start))
@@ -111,99 +103,88 @@ def _tokenize(src: str) -> list[_Token]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
-            col = tok.column if tok else None
-            found = repr(tok.value) if tok else "end of input"
-            raise ParseError(f"expected {kind!r}, found {found}", col)
-        return self.next()
-
-    def expr(self) -> Term:
-        t = self.term()
-        while (tok := self.peek()) is not None and tok.kind in "+-":
-            self.next()
-            rhs = self.term()
-            t = Add(t, rhs if tok.kind == "+" else Neg(rhs))
-        return t
-
-    def term(self) -> Term:
-        t = self.factor()
-        while (tok := self.peek()) is not None and tok.kind in "*/":
-            self.next()
-            rhs = self.factor()
-            t = Mul(t, rhs) if tok.kind == "*" else Div(t, rhs)
-        return t
-
-    def factor(self) -> Term:
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.next()
-            return Neg(self.factor())
-        return self.atom()
-
-    def atom(self) -> Term:
-        tok = self.next()
-        if tok.kind == "nat":
-            return Numeral(tok.value)
-        if tok.kind == "mixed":
-            whole, num, den = tok.value
-            return Add(Numeral(whole), Div(Numeral(num), Numeral(den)))
-        if tok.kind == "ident":
-            return Var(tok.value)
-        if tok.kind == "(":
-            t = self.expr()
-            self.expect(")")
-            return t
-        raise ParseError(f"unexpected token {tok.value!r}", tok.column)
+# How tightly a pending operator binds; "neg" is unary minus, and no reduction passes "(".
+_PRECEDENCE = {"neg": 3, "*": 2, "/": 2, "+": 1, "-": 1, "(": 0}
+_BINARY = {"+": Add, "-": Add, "*": Mul, "/": Div}
 
 
 def parse(src: str) -> Term:
-    """Parse source text into a term; raise :class:`ParseError` with a column."""
+    """Parse source text into a term; raise :class:`ParseError` with a column.
+
+    One operator-precedence loop over an operand stack and an operator stack.
+    """
     tokens = _tokenize(src)
     if not tokens:
         raise ParseError("empty input")
-    parser = _Parser(tokens)
-    t = parser.expr()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(
-            f"unexpected trailing token {trailing.value!r}", trailing.column
-        )
-    return t
+    operands: list[Term] = []
+    ops: list[str] = []
+    want_operand = True
+    for tok in [*tokens, None]:
+        if want_operand:
+            if tok is None:
+                raise ParseError("unexpected end of input")
+            if tok.kind == "-" or tok.kind == "(":
+                ops.append("neg" if tok.kind == "-" else "(")
+                continue
+            if tok.kind == "nat":
+                operands.append(Numeral(tok.value))
+            elif tok.kind == "mixed":
+                whole, num, den = tok.value
+                operands.append(Add(Numeral(whole), Div(Numeral(num), Numeral(den))))
+            elif tok.kind == "ident":
+                operands.append(Var(tok.value))
+            else:
+                raise ParseError(f"unexpected token {tok.value!r}", tok.column)
+            want_operand = False
+            continue
+        # After an operand: a binary operator, a closing parenthesis, or the end.
+        binary = tok is not None and tok.kind in _BINARY
+        precedence = _PRECEDENCE[tok.kind] if binary else 1
+        while ops and _PRECEDENCE[ops[-1]] >= precedence:
+            op, right = ops.pop(), operands.pop()
+            if op == "neg":
+                operands.append(Neg(right))
+            else:  # a - b is sugar for a + (-b)
+                operands[-1] = _BINARY[op](operands[-1], Neg(right) if op == "-" else right)
+        if binary:
+            ops.append(tok.kind)
+            want_operand = True
+        elif not ops:  # no parenthesis is open
+            if tok is not None:
+                raise ParseError(f"unexpected trailing token {tok.value!r}", tok.column)
+        elif tok is None or tok.kind != ")":
+            found = repr(tok.value) if tok else "end of input"
+            raise ParseError(f"expected ')', found {found}", tok and tok.column)
+        else:
+            ops.pop()
+    return operands[0]
 
 
 def to_text(t: Term) -> str:
     """Fully parenthesized infix text; ``parse(to_text(t))`` gives ``t`` back."""
-    if isinstance(t, Numeral):
-        return _decimal(t.value)
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Add):
-        return f"({to_text(t.left)}+{to_text(t.right)})"
-    if isinstance(t, Mul):
-        return f"({to_text(t.left)}*{to_text(t.right)})"
-    if isinstance(t, Neg):
-        return f"(-{to_text(t.arg)})"
-    return f"({to_text(t.numerator)}/{to_text(t.denominator)})"
+    out: list[str] = []
+    # Pending subterms and the text around them, rightmost first.
+    stack: list[Term | str] = [t]
+    while stack:
+        s = stack.pop()
+        cls = type(s)
+        if cls is str:
+            out.append(s)
+        elif cls is Numeral:
+            out.append(_decimal(s.value))
+        elif cls is Var:
+            out.append(s.name)
+        elif cls is Neg:
+            stack += (")", s.arg, "(-")
+        elif cls is Div:
+            stack += (")", s.denominator, "/", s.numerator, "(")
+        else:
+            stack += (")", s.right, "+" if cls is Add else "*", s.left, "(")
+    return "".join(out)
 
 
 _OPS = {"add": Add, "mul": Mul, "neg": Neg, "div": Div}
+_OP_NAMES = {cls: op for op, cls in _OPS.items()}
 # The text grammar's numerals and identifiers.
 _NATURAL = re.compile(r"[0-9]+")
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -211,50 +192,73 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 def term_to_json_obj(t: Term) -> dict[str, Any]:
     """Tree encoding for machine consumers; numerals as decimal strings."""
-    if isinstance(t, Numeral):
-        return {"num": _decimal(t.value)}
-    if isinstance(t, Var):
-        return {"var": t.name}
-    if isinstance(t, Neg):
-        return {"op": "neg", "args": [term_to_json_obj(t.arg)]}
-    if isinstance(t, Add):
-        op = "add"
-    elif isinstance(t, Mul):
-        op = "mul"
-    else:
-        op = "div"
-    a, b = (
-        (t.left, t.right) if not isinstance(t, Div) else (t.numerator, t.denominator)
-    )
-    return {"op": op, "args": [term_to_json_obj(a), term_to_json_obj(b)]}
+    vals: list[dict[str, Any]] = []
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Numeral:
+            vals.append({"num": _decimal(s.value)})
+        elif cls is Var:
+            vals.append({"var": s.name})
+        elif cls is Neg:
+            vals[-1] = {"op": "neg", "args": [vals[-1]]}
+        else:
+            right = vals.pop()
+            vals[-1] = {"op": _OP_NAMES[cls], "args": [vals[-1], right]}
+    return vals[0]
 
 
 def term_from_json_obj(obj: Any) -> Term:
-    if not isinstance(obj, dict):
-        raise ParseError(f"expected an object, got {type(obj).__name__}")
-    if "num" in obj:
-        text = obj["num"]
-        if not (isinstance(text, str) and _NATURAL.fullmatch(text)):
-            raise ParseError(f"bad numeral encoding {text!r}")
-        return Numeral(_natural(text))
-    if "var" in obj:
-        name = obj["var"]
-        if not (isinstance(name, str) and _IDENT.fullmatch(name)):
-            raise ParseError(f"bad variable encoding {name!r}")
-        return Var(name)
-    op = obj.get("op")
-    args = obj.get("args")
-    if op not in _OPS or not isinstance(args, list):
-        raise ParseError(f"bad term encoding {obj!r}")
-    arity = 1 if op == "neg" else 2
-    if len(args) != arity:
-        raise ParseError(f"operator {op!r} takes {arity} argument(s)")
-    parts = [term_from_json_obj(a) for a in args]
-    return _OPS[op](*parts)
+    """Decode a tree encoding; each object is checked before its arguments."""
+    vals: list[Term] = []
+    # (object, None) to decode, (object, operator) once its arguments are.
+    stack: list[tuple[Any, type | None]] = [(obj, None)]
+    open_ids: set[int] = set()  # operator objects being decoded, to stop cycles
+    while stack:
+        o, cls = stack.pop()
+        if cls is not None:
+            open_ids.remove(id(o))
+            args = [vals.pop() for _ in range(1 if cls is Neg else 2)]
+            vals.append(cls(*reversed(args)))
+            continue
+        if not isinstance(o, dict):
+            raise ParseError(f"expected an object, got {type(o).__name__}")
+        if "num" in o:
+            text = o["num"]
+            if not (isinstance(text, str) and _NATURAL.fullmatch(text)):
+                raise ParseError(f"bad numeral encoding {text!r}")
+            vals.append(Numeral(_natural(text)))
+            continue
+        if "var" in o:
+            name = o["var"]
+            if not (isinstance(name, str) and _IDENT.fullmatch(name)):
+                raise ParseError(f"bad variable encoding {name!r}")
+            vals.append(Var(name))
+            continue
+        op = o.get("op")
+        args = o.get("args")
+        if op not in _OPS or not isinstance(args, list):
+            raise ParseError(f"bad term encoding {o!r}")
+        arity = 1 if op == "neg" else 2
+        if len(args) != arity:
+            raise ParseError(f"operator {op!r} takes {arity} argument(s)")
+        if id(o) in open_ids:
+            raise ParseError("cyclic term encoding")
+        open_ids.add(id(o))
+        stack.append((o, _OPS[op]))
+        stack.extend((a, None) for a in reversed(args))
+    return vals[0]
+
+
+def _dumps(obj: Any, indent: int | None = None) -> str:
+    """``json.dumps``, or a :class:`DomainError` past the json module's nesting limit."""
+    try:
+        return json.dumps(obj, indent=indent)
+    except RecursionError:
+        raise DomainError("term nests too deeply for JSON output") from None
 
 
 def term_to_json(t: Term) -> str:
-    return json.dumps(term_to_json_obj(t))
+    return _dumps(term_to_json_obj(t))
 
 
 def term_from_json(text: str) -> Term:
@@ -262,4 +266,6 @@ def term_from_json(text: str) -> Term:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply to decode") from None
     return term_from_json_obj(obj)

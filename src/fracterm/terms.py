@@ -5,11 +5,15 @@ multiplication, unary minus, and division.  There is no inverse constructor;
 division is the only non-ring operation.  Numerals are primitive leaves so
 that recognizing them is O(1); ``expand_numeral`` recovers the sum-of-units
 reading when it is needed.
+
+Every whole-term walk is a loop over :func:`postorder`, one explicit stack,
+so no traversal here is bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TypeAlias
 
 from .errors import PositionError
@@ -33,6 +37,7 @@ __all__ = [
     "eq_syn",
     "free_vars",
     "children",
+    "postorder",
     "node_count",
     "depth",
     "subterms",
@@ -125,39 +130,51 @@ def children(t: Term) -> tuple[Term, ...]:
     return (t.left, t.right)
 
 
+def postorder(t: Term) -> list[Term]:
+    """Each subterm occurrence in ``t``, operands before their operator, left to right."""
+    out: list[Term] = []
+    stack = [t]
+    while stack:
+        s = stack.pop()
+        out.append(s)
+        cls = type(s)
+        # Right operand first: reversed, this preorder lists left before right.
+        if cls is Add or cls is Mul:
+            stack.append(s.left)
+            stack.append(s.right)
+        elif cls is Div:
+            stack.append(s.numerator)
+            stack.append(s.denominator)
+        elif cls is Neg:
+            stack.append(s.arg)
+    out.reverse()
+    return out
+
+
 def expand_numeral(t: Term) -> Term:
     """Replace every numeral above 1 by its left-nested sum of units."""
-    if isinstance(t, Numeral):
-        if t.value <= 1:
-            return t
-        acc: Term = ONE
-        for _ in range(t.value - 1):
-            acc = Add(acc, ONE)
-        return acc
-    kids = children(t)
-    if not kids:
-        return t
-    return type(t)(*(expand_numeral(c) for c in kids))
+    vals: list[Term] = []
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Numeral and s.value > 1:
+            vals.append(reduce(Add, [ONE] * s.value))
+        elif cls is Numeral or cls is Var:
+            vals.append(s)
+        elif cls is Neg:
+            vals[-1] = Neg(vals[-1])
+        else:
+            right = vals.pop()
+            vals[-1] = cls(vals[-1], right)
+    return vals[0]
 
 
 def is_closed(t: Term) -> bool:
     """True iff no variable occurs in ``t``."""
-    stack = [t]
-    while stack:
-        s = stack.pop()
-        if isinstance(s, Var):
-            return False
-        stack.extend(children(s))
-    return True
+    return not free_vars(t)
 
 
 def free_vars(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
-    out: set[str] = set()
-    for c in children(t):
-        out |= free_vars(c)
-    return out
+    return {s.name for s in postorder(t) if type(s) is Var}
 
 
 def eq_syn(s: Term, t: Term) -> bool:
@@ -174,26 +191,30 @@ def eq_syn(s: Term, t: Term) -> bool:
 
 
 def node_count(t: Term) -> int:
-    return 1 + sum(node_count(c) for c in children(t))
+    return len(postorder(t))
 
 
 def depth(t: Term) -> int:
-    kids = children(t)
-    if not kids:
-        return 0
-    return 1 + max(depth(c) for c in kids)
+    vals: list[int] = []
+    for s in postorder(t):
+        cls = type(s)
+        if cls is Numeral or cls is Var:
+            vals.append(0)
+        elif cls is Neg:
+            vals[-1] += 1
+        else:
+            vals.append(max(vals.pop(), vals.pop()) + 1)
+    return vals[0]
 
 
 def subterms(t: Term) -> list[tuple[Position, Term]]:
     """All (position, subterm) pairs of ``t`` in preorder."""
     out: list[tuple[Position, Term]] = []
-
-    def walk(s: Term, pos: Position) -> None:
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, s = stack.pop()
         out.append((pos, s))
-        for i, c in enumerate(children(s)):
-            walk(c, pos + (i,))
-
-    walk(t, ())
+        stack += reversed([(pos + (i,), c) for i, c in enumerate(children(s))])
     return out
 
 
@@ -229,6 +250,4 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
 
 def contains_div(t: Term) -> bool:
     """True iff a division node occurs anywhere in ``t``."""
-    if isinstance(t, Div):
-        return True
-    return any(contains_div(c) for c in children(t))
+    return any(type(s) is Div for s in postorder(t))

@@ -183,6 +183,17 @@ class TestFracpairCommand:
     def test_bad_literal_is_parse_error(self, capsys):
         assert run(capsys, "fracpair", "add", "1/2", "nope")[0] == 2
 
+    def test_oversized_literal_is_parse_error(self, capsys):
+        code, out, err = run(capsys, "fracpair", "value", "9" * 5000 + "/1")
+        assert (code, out) == (2, "")
+        assert "limit of 4300 digits" in err
+
+    def test_oversized_result_is_domain_error(self, capsys):
+        pair = "9" * 3000 + "/1"
+        code, out, err = run(capsys, "fracpair", "mul", pair, pair)
+        assert (code, out) == (4, "")
+        assert "limit of 4300 digits for output" in err
+
     def test_missing_operand_is_domain_error(self, capsys):
         assert run(capsys, "fracpair", "add", "1/2")[0] == 4
 

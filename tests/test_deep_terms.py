@@ -1,0 +1,174 @@
+"""Terms nested far deeper than the interpreter's recursion limit.
+
+Every traversal walks an explicit stack, so these run under the default
+limit of 1,000 frames.  Each result is checked against its closed form: the
+left-nested sum of n ones denotes n, and n minus signs around 1 denote
+(-1)**n.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from fracterm.calculator import find_unsafe_fraction, normalize_safe, replay_derivation
+from fracterm.classify import classify
+from fracterm.cli import main
+from fracterm.errors import DomainError, ParseError
+from fracterm.meadows import CommonQ, Gfp, Q0, Residue, check_identity, evaluate
+from fracterm.syntax import (
+    parse,
+    term_from_json,
+    term_from_json_obj,
+    term_to_json,
+    term_to_json_obj,
+    to_text,
+)
+from fracterm.terms import (
+    Add,
+    Div,
+    Neg,
+    ONE,
+    contains_div,
+    depth,
+    eq_syn,
+    expand_numeral,
+    free_vars,
+    is_closed,
+    node_count,
+    postorder,
+    signed_numeral,
+    subterms,
+)
+
+N = 10_000
+
+
+def ones_sum(n):
+    t = ONE
+    for _ in range(n - 1):
+        t = Add(t, ONE)
+    return t
+
+
+def neg_chain(n):
+    t = ONE
+    for _ in range(n):
+        t = Neg(t)
+    return t
+
+
+def continued_fraction(d):
+    """``1/(1+1/(1+…))`` with ``d`` fraction bars."""
+    t = ONE
+    for _ in range(d):
+        t = Div(ONE, Add(ONE, t))
+    return t
+
+
+# (term, value, node count, depth)
+DEEP = {
+    "sum": (ones_sum(N), N, 2 * N - 1, N - 1),
+    "chain": (neg_chain(N), (-1) ** N, N + 1, N),
+}
+
+
+@pytest.fixture(params=sorted(DEEP))
+def deep(request):
+    return DEEP[request.param]
+
+
+def test_term_walks(deep):
+    t, _, count, height = deep
+    assert len(postorder(t)) == node_count(t) == count
+    assert depth(t) == height
+    assert free_vars(t) == set()
+    assert is_closed(t)
+    assert not contains_div(t)
+    assert eq_syn(expand_numeral(t), t)
+
+
+def test_subterms_in_preorder():
+    # A position per node makes the output Θ(depth²) entries, so this runs
+    # at twice the recursion limit rather than at N.
+    t = neg_chain(2000)
+    pairs = subterms(t)
+    assert len(pairs) == 2001
+    assert [len(pos) for pos, _ in pairs] == list(range(2001))
+    assert pairs[-1] == ((0,) * 2000, ONE)
+
+
+def test_text_round_trip(deep):
+    t = deep[0]
+    assert eq_syn(parse(to_text(t)), t)
+
+
+def test_json_obj_round_trip(deep):
+    t = deep[0]
+    assert eq_syn(term_from_json_obj(term_to_json_obj(t)), t)
+
+
+def test_nested_parentheses():
+    assert eq_syn(parse("(" * 5000 + "1" + ")" * 5000), ONE)
+
+
+def test_evaluate(deep):
+    t, v = deep[:2]
+    assert evaluate(t, Q0()) == Fraction(v)
+    assert evaluate(t, CommonQ()) == Fraction(v)
+    assert evaluate(t, Gfp(7)) == Residue(v % 7, 7)
+
+
+def test_check_identity(deep):
+    t, v = deep[:2]
+    assert check_identity(t, signed_numeral(v), [], Gfp(7)).valid
+
+
+def test_classify_and_precheck(deep):
+    t = deep[0]
+    c = classify(t, Q0())
+    assert c.is_closed and c.is_safe_term and not c.is_fraction
+    assert find_unsafe_fraction(t) is None
+
+
+def test_normalize_and_replay(deep):
+    t, v = deep[:2]
+    nf = normalize_safe(t)
+    assert eq_syn(nf.result, Div(signed_numeral(v), ONE))
+    assert eq_syn(replay_derivation(nf.trace), nf.result)
+
+
+def test_cli_eval(capsys):
+    assert main(["eval", "+".join(["1"] * 1000)]) == 0
+    assert capsys.readouterr().out == "1000\n"
+
+
+class TestJsonNesting:
+    def test_decoding_is_parse_error(self):
+        text = '{"num": "1"}'
+        for _ in range(500):
+            text = '{"op": "neg", "args": [' + text + "]}"
+        with pytest.raises(ParseError, match="nested too deeply"):
+            term_from_json(text)
+
+    def test_encoding_is_domain_error(self):
+        with pytest.raises(DomainError, match="nests too deeply for JSON"):
+            term_to_json(DEEP["sum"][0])
+
+    @pytest.mark.parametrize(
+        "argv", [["parse", "--json"], ["normalize", "--trace"]], ids=["parse", "normalize"]
+    )
+    def test_cli_exit_code(self, capsys, argv):
+        assert main([*argv, "+".join(["1"] * 1000)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "nests too deeply for JSON output" in err
+
+
+class TestNormalizerDepth:
+    def test_domain_error(self):
+        with pytest.raises(DomainError, match="nests too deeply to normalize"):
+            normalize_safe(continued_fraction(250))
+
+    def test_cli_exit_code(self, capsys):
+        assert main(["normalize", to_text(continued_fraction(250))]) == 4
+        assert "nests too deeply to normalize" in capsys.readouterr().err

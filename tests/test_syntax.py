@@ -55,13 +55,29 @@ class TestParse:
     def test_whitespace_tolerated(self):
         assert parse(" 1 + 2 ") == Add(Numeral(1), Numeral(2))
 
+    REJECTED = [
+        ("", "empty input", None),
+        ("0.5", "decimal fractions are not supported (at column 1)", 1),
+        ("(1", "expected ')', found end of input", None),
+        ("1)", "unexpected trailing token ')' (at column 1)", 1),
+        ("1 2", "unexpected trailing token 2 (at column 2)", 2),
+        ("1+", "unexpected end of input", None),
+        ("*3", "unexpected token '*' (at column 0)", 0),
+        ("3_1", "malformed mixed literal (at column 0)", 0),
+        ("3_1/", "malformed mixed literal (at column 0)", 0),
+        ("3_/2", "malformed mixed literal (at column 0)", 0),
+        ("1//2", "unexpected token '/' (at column 2)", 2),
+        ("#", "unexpected character '#' (at column 0)", 0),
+    ]
+
     @pytest.mark.parametrize(
-        "bad",
-        ["", "0.5", "(1", "1)", "1 2", "1+", "*3", "3_1", "3_1/", "3_/2", "1//2", "#"],
+        ("bad", "message", "column"), REJECTED, ids=[bad for bad, _, _ in REJECTED]
     )
-    def test_rejects(self, bad):
-        with pytest.raises(ParseError):
+    def test_rejects(self, bad, message, column):
+        with pytest.raises(ParseError) as exc_info:
             parse(bad)
+        assert str(exc_info.value) == message
+        assert exc_info.value.position == column
 
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as exc_info:
@@ -99,6 +115,12 @@ class TestPrint:
         assert parse(to_text(t)) == t
 
 
+def _cyclic_neg():
+    obj = {"op": "neg", "args": []}
+    obj["args"].append(obj)
+    return obj
+
+
 class TestJson:
     def test_encoding_shape(self):
         t = Div(Add(Numeral(2), Var("x")), Numeral(7))
@@ -128,6 +150,7 @@ class TestJson:
             {"num": "\u0663"},
             {"var": "\u00e9"},
             {"var": "1x"},
+            _cyclic_neg(),
         ],
     )
     def test_rejects_malformed(self, obj):
