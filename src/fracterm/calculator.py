@@ -58,7 +58,6 @@ from .terms import (
     replace_at,
     signed_numeral,
     subterm_at,
-    subterms,
 )
 
 __all__ = [
@@ -168,9 +167,20 @@ def find_unsafe_fraction(t: Term) -> tuple[Position, Term] | None:
     evaluate(t, Q0(), unsafe=unsafe)
     if not unsafe:
         return None
-    # A shared subterm has one value, so matching by identity is exact.
+    # A shared subterm has one value, so matching by identity is exact.  Each
+    # preorder entry links to its parent's, so only the match's position is built.
     ids = {id(s) for s in unsafe}
-    return next((pos, s) for pos, s in subterms(t) if id(s) in ids)
+    stack: list[tuple[Term, tuple | None]] = [(t, None)]
+    while True:
+        s, link = stack.pop()
+        if id(s) in ids:
+            pos: list[int] = []
+            while link is not None:
+                i, link = link
+                pos.append(i)
+            return tuple(reversed(pos)), s
+        kids = children(s)
+        stack += [(kids[i], (i, link)) for i in reversed(range(len(kids)))]
 
 
 def _fold_mul(t: Term, k: int) -> Term:

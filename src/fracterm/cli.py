@@ -213,8 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _shield_pair_literals(argv: list[str]) -> list[str]:
-    """Keep fracpair operands like ``-3/5`` out of option parsing."""
-    if not argv or argv[0] != "fracpair" or "--" in argv:
+    """Keep fracpair operands like ``-3/5`` out of option parsing.
+
+    All operands follow one ``--``; a ``--`` the user typed is dropped.
+    """
+    if not argv or argv[0] != "fracpair":
         return argv
     flags: list[str] = []
     operands: list[str] = []
@@ -222,15 +225,14 @@ def _shield_pair_literals(argv: list[str]) -> list[str]:
     i = 0
     while i < len(rest):
         tok = rest[i]
-        if tok == "--zero-mode" and i + 1 < len(rest):
-            flags.extend(rest[i : i + 2])
-            i += 2
+        i += 1
+        if tok == "--zero-mode" and i < len(rest):
+            flags += [tok, rest[i]]
+            i += 1
         elif tok.startswith("--zero-mode=") or tok in ("-h", "--help"):
             flags.append(tok)
-            i += 1
-        else:
+        elif tok != "--":
             operands.append(tok)
-            i += 1
     return ["fracpair", *flags, "--", *operands]
 
 

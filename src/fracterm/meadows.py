@@ -8,6 +8,9 @@ Three carriers interpret the divisive signature totally:
   produced by any division by zero and propagated through every operation.
 
 ``Q0`` and ``Gfp`` are involutive (``1/(1/x) = x``); ``CommonQ`` is not.
+Each value carries its ring arithmetic (``a`` absorbs every operation);
+each backend supplies numerals, division and the zero test, and ``Q0`` and
+``CommonQ`` differ only in the value of ``x/0``.
 Identity checking is exhaustive on ``Gfp`` and sample-driven on the two
 infinite carriers.
 
@@ -54,6 +57,15 @@ class Residue:
     value: int
     modulus: int
 
+    def __add__(self, other: Residue) -> Residue:
+        return Residue((self.value + other.value) % self.modulus, self.modulus)
+
+    def __mul__(self, other: Residue) -> Residue:
+        return Residue((self.value * other.value) % self.modulus, self.modulus)
+
+    def __neg__(self) -> Residue:
+        return Residue(-self.value % self.modulus, self.modulus)
+
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
 
@@ -71,6 +83,13 @@ class _ErrorElement:
     def __repr__(self) -> str:
         return "a"
 
+    # ``Fraction`` defers to these on a foreign operand: ``a`` absorbs both ways.
+    def _absorb(self, *_: object) -> _ErrorElement:
+        return self
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _absorb
+    __truediv__ = __rtruediv__ = __neg__ = _absorb
+
 
 ERROR = _ErrorElement()
 
@@ -83,6 +102,8 @@ Assignment: TypeAlias = Mapping[str, MeadowValue]
 # 318665857834031151167461.
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MAX_MODULUS = 3317044064679887385961981
+# The most assignments an exhaustive identity check enumerates.
+_MAX_ASSIGNMENTS = 10**6
 
 
 def _is_prime(n: int) -> bool:
@@ -102,31 +123,27 @@ def _is_prime(n: int) -> bool:
     )
 
 
-class Q0:
-    """Rational numbers with a total inverse (``x/0 = 0``)."""
-
-    name = "q0"
+class _Rationals:
+    """Exact rationals whose division by zero returns ``_over_zero``."""
 
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def add(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
-
-    def mul(self, x: Fraction, y: Fraction) -> Fraction:
-        return x * y
-
-    def neg(self, x: Fraction) -> Fraction:
-        return -x
-
-    def div(self, x: Fraction, y: Fraction) -> Fraction:
-        return Fraction(0) if y == 0 else x / y
+    def div(self, x: MeadowValue, y: MeadowValue) -> MeadowValue:
+        return self._over_zero if y == 0 else x / y
 
     def is_zero(self, v: MeadowValue) -> bool:
         return v == 0
 
     def __repr__(self) -> str:
-        return "Q0()"
+        return f"{type(self).__name__}()"
+
+
+class Q0(_Rationals):
+    """Rational numbers with a total inverse (``x/0 = 0``)."""
+
+    name = "q0"
+    _over_zero = Fraction(0)
 
 
 class Gfp:
@@ -147,22 +164,13 @@ class Gfp:
     def from_int(self, n: int) -> Residue:
         return Residue(n % self.p, self.p)
 
-    def add(self, x: Residue, y: Residue) -> Residue:
-        return Residue((x.value + y.value) % self.p, self.p)
-
-    def mul(self, x: Residue, y: Residue) -> Residue:
-        return Residue((x.value * y.value) % self.p, self.p)
-
-    def neg(self, x: Residue) -> Residue:
-        return Residue(-x.value % self.p, self.p)
-
     def inv(self, x: Residue) -> Residue:
         # 0**0 == 1 in Python, so the zero case needs a guard (matters for p == 2).
         v = pow(x.value, self.p - 2, self.p) if x.value else 0
         return Residue(v, self.p)
 
     def div(self, x: Residue, y: Residue) -> Residue:
-        return self.mul(x, self.inv(y))
+        return x * self.inv(y)
 
     def is_zero(self, v: MeadowValue) -> bool:
         return isinstance(v, Residue) and v.value == 0
@@ -175,37 +183,11 @@ class Gfp:
         return f"Gfp({self.p})"
 
 
-class CommonQ:
+class CommonQ(_Rationals):
     """Rationals extended with an error element absorbed by every operation."""
 
     name = "common"
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def add(self, x: MeadowValue, y: MeadowValue) -> MeadowValue:
-        if x is ERROR or y is ERROR:
-            return ERROR
-        return x + y
-
-    def mul(self, x: MeadowValue, y: MeadowValue) -> MeadowValue:
-        if x is ERROR or y is ERROR:
-            return ERROR
-        return x * y
-
-    def neg(self, x: MeadowValue) -> MeadowValue:
-        return ERROR if x is ERROR else -x
-
-    def div(self, x: MeadowValue, y: MeadowValue) -> MeadowValue:
-        if x is ERROR or y is ERROR or y == 0:
-            return ERROR
-        return x / y
-
-    def is_zero(self, v: MeadowValue) -> bool:
-        return v is not ERROR and v == 0
-
-    def __repr__(self) -> str:
-        return "CommonQ()"
+    _over_zero = ERROR
 
 
 Meadow: TypeAlias = Q0 | Gfp | CommonQ
@@ -243,13 +225,13 @@ def _evaluate(
             except KeyError:
                 raise EvalError(f"unbound variable {s.name!r}") from None
         elif cls is Neg:
-            vals[-1] = meadow.neg(vals[-1])
+            vals[-1] = -vals[-1]
         else:
             y = vals.pop()
             if cls is Add:
-                vals[-1] = meadow.add(vals[-1], y)
+                vals[-1] = vals[-1] + y
             elif cls is Mul:
-                vals[-1] = meadow.mul(vals[-1], y)
+                vals[-1] = vals[-1] * y
             else:
                 if unsafe is not None and (y is ERROR or meadow.is_zero(y)):
                     unsafe.append(s)
@@ -266,8 +248,6 @@ def denote(t: Term, meadow: Meadow) -> MeadowValue:
 
 
 def format_value(v: MeadowValue) -> str:
-    if v is ERROR:
-        return "a"
     if isinstance(v, Fraction):
         text = _decimal(v.numerator)
         return text if v.denominator == 1 else f"{text}/{_decimal(v.denominator)}"
@@ -311,7 +291,8 @@ def check_identity(
 
     On ``Gfp`` every assignment to the free variables is enumerated;
     ``assignments_checked`` counts all of them, including those the
-    conditions exclude.  On the infinite backends a list of sample
+    conditions exclude.  More than ``_MAX_ASSIGNMENTS`` of them raise
+    ``DomainError``.  On the infinite backends a list of sample
     assignments must be supplied.
     """
     lhs, rhs = postorder(lhs), postorder(rhs)
@@ -321,10 +302,14 @@ def check_identity(
     )
 
     if isinstance(meadow, Gfp):
-        assignments: Iterable[Assignment] = (
-            dict(zip(names, combo))
-            for combo in itertools.product(list(meadow.elements()), repeat=len(names))
-        )
+        if meadow.p ** len(names) > _MAX_ASSIGNMENTS:
+            raise DomainError(
+                f"exhaustive check over {meadow.name} needs {meadow.p}**{len(names)}"
+                f" assignments; the limit is {_MAX_ASSIGNMENTS} assignments"
+            )
+        pool = list(meadow.elements()) if names else []  # product lists it even for repeat=0
+        combos = itertools.product(pool, repeat=len(names))
+        assignments: Iterable[Assignment] = (dict(zip(names, c)) for c in combos)
     else:
         if samples is None:
             raise DomainError(

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from fracterm.terms import (
     Var,
     as_signed_numeral,
     eq_syn,
+    subterms,
 )
 
 from termgen import is_safe, q0_value, random_closed_term, random_unsafe_biased_term
@@ -156,6 +158,32 @@ class TestFindUnsafeFraction:
     def test_computed_zero_denominator(self):
         pos, sub = find_unsafe_fraction(parse("5/(2-2)"))
         assert pos == ()
+
+    def test_memory_is_linear_in_size(self):
+        # The offender sits beside the root of a sum 2,000 levels deep; a
+        # position per node would hold about two million indices.
+        t = parse("+".join(["1"] * 2000) + " + 1/0")
+        tracemalloc.start()
+        try:
+            pos, sub = find_unsafe_fraction(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pos == (1,) and to_text(sub) == "(1/0)"
+        assert peak < 2_000_000
+
+    def test_agrees_with_a_subterms_scan(self):
+        rng = random.Random(20261018)
+        for _ in range(2000):
+            t = random_unsafe_biased_term(rng)
+            unsafe = []
+            evaluate(t, Q0(), unsafe=unsafe)
+            ids = {id(s) for s in unsafe}
+            expected = next(((p, s) for p, s in subterms(t) if id(s) in ids), None)
+            got = find_unsafe_fraction(t)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got[0] == expected[0] and got[1] is expected[1]
 
 
 class TestApplyRule:

@@ -197,6 +197,13 @@ class TestFracpairCommand:
     def test_missing_operand_is_domain_error(self, capsys):
         assert run(capsys, "fracpair", "add", "1/2")[0] == 4
 
+    def test_user_double_dash(self, capsys):
+        assert run(capsys, "fracpair", "add", "--", "-3/5", "1/2")[1] == "-1/10\n"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["fracpair", "add", "--", "--"])
+        assert exc_info.value.code == 2
+        assert "required: left" in capsys.readouterr().err
+
 
 class TestAxiomsCommand:
     def test_report(self, capsys):
@@ -214,6 +221,11 @@ class TestAxiomsCommand:
         code, out, _ = run(capsys, "axioms", "--meadow", "gf:5", "--axiom", "inv_inv")
         assert code == 0
         assert out == "inv_inv: valid (5 assignments)\n"
+
+    def test_exhaustive_limit(self, capsys):
+        code, out, err = run(capsys, "axioms", "--meadow", "gf:1009", "--axiom", "qcr")
+        assert (code, out) == (4, "")
+        assert "the limit is 1000000 assignments" in err
 
     def test_infinite_backend_rejected(self, capsys):
         assert run(capsys, "axioms", "--meadow", "q0")[0] == 4

@@ -1,6 +1,8 @@
 """Backend semantics: totalized division, error propagation, identity checks."""
 
+import itertools
 import math
+import operator
 import random
 import time
 from fractions import Fraction
@@ -27,6 +29,26 @@ from termgen import random_closed_term
 
 Q = Q0()
 C = CommonQ()
+
+
+def _value_cases():
+    """(operator, operand tuples, expected results): ``a`` absorbs, residues wrap."""
+    q = Fraction(3, 4)
+    for op in (operator.add, operator.mul, operator.truediv):
+        yield pytest.param(op, [(ERROR, q)], [ERROR], id=f"a-{op.__name__}-q")
+        yield pytest.param(op, [(q, ERROR)], [ERROR], id=f"q-{op.__name__}-a")
+    yield pytest.param(operator.neg, [(ERROR,)], [ERROR], id="neg-a")
+    for p in (2, 3, 5, 7):
+        for op, arity in ((operator.add, 2), (operator.mul, 2), (operator.neg, 1)):
+            ints = list(itertools.product(range(p), repeat=arity))
+            operands = [tuple(Residue(v, p) for v in args) for args in ints]
+            expected = [Residue(op(*args) % p, p) for args in ints]
+            yield pytest.param(op, operands, expected, id=f"gf{p}-{op.__name__}")
+
+
+@pytest.mark.parametrize("op, operands, expected", _value_cases())
+def test_values_carry_their_arithmetic(op, operands, expected):
+    assert [op(*args) for args in operands] == expected
 
 
 class TestTotalizedRationals:
@@ -83,7 +105,7 @@ class TestPrimeFields:
         for p in (2, 3, 5, 7):
             g = Gfp(p)
             for v in range(1, p):
-                assert g.mul(Residue(v, p), g.inv(Residue(v, p))) == Residue(1, p)
+                assert Residue(v, p) * g.inv(Residue(v, p)) == Residue(1, p)
 
     def test_non_prime_rejected(self):
         for bad in (0, 1, 4, 9, 15):
@@ -231,6 +253,20 @@ class TestCheckIdentity:
         assert check_identity(parse("(x/y)*(u/v)"), parse("(x*u)/(y*v)"), [], g).valid
         assert check_identity(parse("1/(x/y)"), parse("y/x"), [], g).valid
         assert check_identity(parse("-(x/y)"), parse("(-x)/y"), [], g).valid
+
+    def test_exhaustive_limit(self):
+        # 1009**3 assignments, about a thousand times the limit.
+        with pytest.raises(DomainError, match="the limit is 1000000 assignments"):
+            check_identity(parse("x/y + u/y"), parse("(x+u)/y"), [], Gfp(1009))
+        assert check_identity(parse("x*x"), parse("x*x"), [], Gfp(1009)).valid
+
+    def test_closed_terms_do_not_list_the_field(self, monkeypatch):
+        def no_listing(self):
+            raise AssertionError("the field was listed")
+
+        monkeypatch.setattr(Gfp, "elements", no_listing)
+        report = check_identity(parse("1/2 + 1/2"), parse("1"), [], Gfp(2**61 - 1))
+        assert (report.valid, report.assignments_checked) == (True, 1)
 
     def test_report_json_shape(self):
         report = check_identity(parse("x"), parse("x+1"), [], Gfp(2))
