@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .errors import DomainError, EvalError, MatchError, SafetyError
 from .meadows import Q0, evaluate
@@ -106,11 +107,15 @@ class Step:
     conditions: frozenset[int] = frozenset()
 
     def to_json_obj(self) -> dict:
+        return self._json_layout(term_to_json_obj)
+
+    def _json_layout(self, term: Callable[[Term], Any]) -> dict:
+        """The JSON object of this step, with each term passed through ``term``."""
         return {
             "rule": self.rule,
             "position": list(self.position),
-            "before": term_to_json_obj(self.before),
-            "after": term_to_json_obj(self.after),
+            "before": term(self.before),
+            "after": term(self.after),
             "conditions": sorted(self.conditions),
         }
 
@@ -127,14 +132,23 @@ class NormalForm:
     trace: Derivation = field(default_factory=list)
 
     def to_json_obj(self) -> dict:
-        return {
-            "result": term_to_json_obj(self.result),
-            "conditions": sorted(self.conditions),
-            "steps": [s.to_json_obj() for s in self.trace],
-        }
+        return self._json_layout(term_to_json_obj)
 
     def to_json(self, indent: int | None = 2) -> str:
-        return _dumps(self.to_json_obj(), indent)
+        """``json.dumps(self.to_json_obj(), indent=indent)``, rendered from the terms."""
+        return _dumps(self._json_layout(_same_term), indent)
+
+    def _json_layout(self, term: Callable[[Term], Any]) -> dict:
+        """The JSON object of this normal form, with each term passed through ``term``."""
+        return {
+            "result": term(self.result),
+            "conditions": sorted(self.conditions),
+            "steps": [s._json_layout(term) for s in self.trace],
+        }
+
+
+def _same_term(t: Term) -> Term:
+    return t
 
 
 def _ring_value(t: Term) -> int:
@@ -552,6 +566,9 @@ class EqualityEvidence:
             "right": to_text(self.right.result),
             "conditions": sorted(self.conditions),
         }
+
+    def to_json(self, indent: int | None = 2) -> str:
+        return _dumps(self.to_json_obj(), indent)
 
 
 def check_equal(s: Term, t: Term, mode: str = "safe") -> EqualityEvidence:

@@ -23,13 +23,12 @@ common and safe classes off the same walk.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
-from .syntax import _decimal
+from .syntax import _decimal, _dumps
 from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, free_vars, postorder
 
 __all__ = [
@@ -135,6 +134,12 @@ class _Rationals:
     def is_zero(self, v: MeadowValue) -> bool:
         return v == 0
 
+    def contains(self, v: object) -> bool:
+        """Whether ``v`` is a value here: a rational, or the value of ``x/0``."""
+        if isinstance(v, int):
+            return not isinstance(v, bool)
+        return isinstance(v, Fraction) or v is self._over_zero
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -175,6 +180,10 @@ class Gfp:
     def is_zero(self, v: MeadowValue) -> bool:
         return isinstance(v, Residue) and v.value == 0
 
+    def contains(self, v: object) -> bool:
+        """Whether ``v`` is a value here: a reduced residue modulo ``p``."""
+        return isinstance(v, Residue) and v.modulus == self.p and 0 <= v.value < self.p
+
     def elements(self) -> Iterator[Residue]:
         for v in range(self.p):
             yield Residue(v, self.p)
@@ -205,9 +214,18 @@ def evaluate(
     When ``unsafe`` is a list, every fraction whose denominator denotes zero
     or the error element ``a`` is appended to it, inner fractions before the
     fractions that contain them.  The numerator is evaluated before the
-    denominator, so an unbound variable is reported left to right.
+    denominator, so an unbound variable is reported left to right.  A bound
+    value outside the backend's carrier raises :class:`EvalError`.
     """
-    return _evaluate(postorder(t), meadow, assignment or {}, unsafe)
+    return _evaluate(postorder(t), meadow, _checked(assignment or {}, meadow), unsafe)
+
+
+def _checked(env: Assignment, meadow: Meadow) -> Assignment:
+    """``env``, once every value it binds is known to lie in ``meadow``."""
+    for name, v in env.items():
+        if not meadow.contains(v):
+            raise EvalError(f"variable {name!r} is bound to {v!r}, not a value of {meadow.name}")
+    return env
 
 
 def _evaluate(
@@ -277,7 +295,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
+        return _dumps(self.to_json_obj())
 
 
 def check_identity(
@@ -315,7 +333,7 @@ def check_identity(
             raise DomainError(
                 f"backend {meadow.name!r} is infinite; supply sample assignments"
             )
-        assignments = samples
+        assignments = (_checked(env, meadow) for env in samples)
 
     checked = 0
     for env in assignments:

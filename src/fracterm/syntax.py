@@ -20,6 +20,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DomainError, ParseError
@@ -249,16 +250,115 @@ def term_from_json_obj(obj: Any) -> Term:
     return vals[0]
 
 
+# The deepest nesting of JSON containers (objects and lists) any output may
+# have.  A sum of n ones nests 2n - 1 deep as a term, so ``parse --json``
+# encodes 495 ones (989 deep) and ``normalize --trace``, whose terms sit
+# three containers in, 494 (990 deep).
+_MAX_JSON_DEPTH = 990
+_TOO_DEEP = "term nests too deeply for JSON output"
+
+
 def _dumps(obj: Any, indent: int | None = None) -> str:
-    """``json.dumps``, or a :class:`DomainError` past the json module's nesting limit."""
-    try:
-        return json.dumps(obj, indent=indent)
-    except RecursionError:
-        raise DomainError("term nests too deeply for JSON output") from None
+    """``json.dumps(obj, indent=indent)``, with each term encoded as :func:`term_to_json_obj`.
+
+    One explicit stack renders dicts, lists, strings, integers, booleans,
+    ``None`` and terms, straight from the tree.  Within one call, each (term
+    node, nesting level) is rendered once: a repeat appends the pieces its
+    first rendering produced, so the steps of a trace share the text of the
+    subterms they share.  Integers past the int/str limit and nesting deeper
+    than ``_MAX_JSON_DEPTH`` containers raise :class:`DomainError`.
+    """
+    sep = ", " if indent is None else ","
+
+    def newline(level: int) -> str:
+        return "" if indent is None else "\n" + " " * (indent * level)
+
+    texts: dict[tuple[type, int], tuple[str, str, str]] = {}
+
+    def term_text(cls: type, level: int) -> tuple[str, str, str]:
+        """The text before, between and after the arguments of a term node at ``level``."""
+        text = texts.get((cls, level))
+        if text is None:
+            if level >= _MAX_JSON_DEPTH:
+                raise DomainError(_TOO_DEEP)
+            inner, end = newline(level + 1), newline(level) + "}"
+            if cls is Numeral:
+                text = ("{" + inner + '"num": "', "", '"' + end)
+            elif cls is Var:
+                text = ("{" + inner + '"var": ', "", end)
+            else:
+                args = newline(level + 2)
+                op = f'{{{inner}"op": "{_OP_NAMES[cls]}"{sep}{inner}"args": [{args}'
+                text = (op, sep + args, inner + "]" + end)
+            texts[cls, level] = text
+        return text
+
+    out: list[str] = []
+    # (id(term), level) -> the slice of ``out`` holding that term's encoding.
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    # Pieces of text, (value, level) to render, and [key, start] to close a memo slice.
+    stack: list[Any] = [(obj, 0)]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+            continue
+        if cls is list:
+            memo[item[0]] = item[1], len(out)
+            continue
+        value, level = item
+        cls = type(value)
+        if cls is Numeral or cls is Var:
+            before, _, after = term_text(cls, level)
+            leaf = _decimal(value.value) if cls is Numeral else encode_basestring_ascii(value.name)
+            out.append(before + leaf + after)
+        elif cls in _OP_NAMES:
+            key = (id(value), level)
+            span = memo.get(key)
+            if span is not None:
+                out += out[span[0] : span[1]]
+                continue
+            before, between, after = term_text(cls, level)
+            out.append(before)
+            stack += ([key, len(out) - 1], after)
+            if cls is Neg:
+                stack.append((value.arg, level + 2))
+            else:
+                left, right = (value.numerator, value.denominator) if cls is Div else (value.left, value.right)
+                stack += ((right, level + 2), between, (left, level + 2))
+        elif cls is dict or cls is list:
+            if level >= _MAX_JSON_DEPTH:
+                raise DomainError(_TOO_DEEP)
+            opening, closing = "{}" if cls is dict else "[]"
+            if not value:
+                out.append(opening + closing)
+                continue
+            if cls is dict:
+                entries = [(encode_basestring_ascii(k) + ": ", v) for k, v in value.items()]
+            else:
+                entries = [("", v) for v in value]
+            out.append(opening)
+            stack.append(newline(level) + closing)
+            head = newline(level + 1)
+            for i in reversed(range(len(entries))):
+                label, v = entries[i]
+                stack += ((v, level + 1), (sep + head if i else head) + label)
+        elif cls is str:
+            out.append(encode_basestring_ascii(value))
+        elif cls is int:
+            out.append(_decimal(value))
+        elif cls is bool:
+            out.append("true" if value else "false")
+        elif value is None:
+            out.append("null")
+        else:
+            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+    return "".join(out)
 
 
 def term_to_json(t: Term) -> str:
-    return _dumps(term_to_json_obj(t))
+    return _dumps(t)
 
 
 def term_from_json(text: str) -> Term:

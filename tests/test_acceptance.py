@@ -21,6 +21,7 @@ from fracterm.calculator import (
     replay_derivation,
 )
 from fracterm.classify import classify, eq_pair, eq_val
+from fracterm.cli import main
 from fracterm.errors import SafetyError
 from fracterm.fracpairs import Fracpair, ZeroMode, fp_add, fp_eq, int_div
 from fracterm.meadows import ERROR, CommonQ, Gfp, Q0, check_identity, denote, evaluate
@@ -262,7 +263,7 @@ def _render(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def test_c8_golden_examples():
+def test_c8_golden_examples(capsys):
     with criterion(8, "golden worked examples"):
         uncommon = classify(parse("(2+7)/(1+((7-5)-3))"), Q)
         assert uncommon.is_fraction and uncommon.is_common is False
@@ -294,3 +295,29 @@ def test_c8_golden_examples():
             path = GOLDEN / name
             assert path.exists(), f"missing golden file {name}"
             assert _render(obj) == path.read_text(), f"golden mismatch for {name}"
+
+        # The library's own encoder writes the same bytes, and so does the CLI.
+        library = {
+            "normalize_sum_over_seven.json": nf,
+            "equal_halves.json": halves,
+            "normalize_safe_all_safe_rules.json": safe_rules,
+            "normalize_full_zero_denominators.json": full_rules,
+        }
+        for name, result in library.items():
+            assert result.to_json() + "\n" == (GOLDEN / name).read_text(), name
+        commands = {
+            "classify_uncommon.json": ["classify", "(2+7)/(1+((7-5)-3))"],
+            "classify_composed.json": ["classify", "(1+1/2)/3"],
+            "normalize_sum_over_seven.json": ["normalize", "(2+3)/7", "--trace"],
+            "equal_halves.json": ["equal", "1/2 + 1/2", "2/2", "--mode", "full"],
+            "normalize_safe_all_safe_rules.json": [
+                "normalize", "-(1/2) + 3/(-6) + (4/6)/(2/3) + 5", "--trace",
+            ],
+            "normalize_full_zero_denominators.json": [
+                "normalize", "(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)", "--mode", "full", "--trace",
+            ],
+        }
+        for name, argv in commands.items():
+            capsys.readouterr()
+            assert main(argv) == 0, name
+            assert capsys.readouterr().out == (GOLDEN / name).read_text(), name

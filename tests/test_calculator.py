@@ -1,5 +1,6 @@
 """Normalizer, single-step rewriting, and derivation-trace tests."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -28,7 +29,7 @@ from fracterm.calculator import (
 from fracterm.classify import classify
 from fracterm.errors import DomainError, EvalError, MatchError, SafetyError
 from fracterm.meadows import Gfp, Q0, denote, evaluate
-from fracterm.syntax import parse, to_text
+from fracterm.syntax import parse, term_to_json, term_to_json_obj, to_text
 from fracterm.terms import (
     Add,
     Div,
@@ -387,6 +388,20 @@ class TestNormalizerProperties:
         step = Step(RULE_FEQ, (), parse("1/2"), parse("2/4"), conditions)
         with pytest.raises(MatchError, match="FEQ step records"):
             replay_derivation([step])
+
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_json_matches_json_dumps(self, normalize):
+        # json.dumps of the plain objects is the reference for the library's encoder.
+        rng = random.Random(43)
+        for i in range(300):
+            t = (random_unsafe_biased_term if i % 2 else random_closed_term)(rng, 5)
+            assert term_to_json(t) == json.dumps(term_to_json_obj(t))
+            if normalize is normalize_safe and not is_safe(t):
+                continue
+            nf = normalize(t)
+            obj = nf.to_json_obj()
+            assert nf.to_json() == json.dumps(obj, indent=2)
+            assert nf.to_json(indent=None) == json.dumps(obj)
 
     def test_trace_json_is_deterministic(self):
         nf1 = normalize_safe(parse("1/2 + 1/3"))

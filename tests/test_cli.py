@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fracterm.cli import main
+from fracterm.cli import AXIOMS, main
 
 
 def run(capsys, *argv):
@@ -121,8 +121,9 @@ class TestOutputLimit:
             # the result is 2/1; only the condition list is too long
             ["normalize", f"(2*{NINES}*{NINES})/({NINES}*{NINES})"],
             ["equal", f"{NINES}*{NINES}", "1"],
+            ["equal", f"(2*{NINES}*{NINES})/({NINES}*{NINES})", "2"],
         ],
-        ids=["normalize", "eval", "trace", "conditions", "equal"],
+        ids=["normalize", "eval", "trace", "conditions", "equal", "equal-conditions"],
     )
     def test_domain_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -226,6 +227,19 @@ class TestAxiomsCommand:
         code, out, err = run(capsys, "axioms", "--meadow", "gf:1009", "--axiom", "qcr")
         assert (code, out) == (4, "")
         assert "the limit is 1000000 assignments" in err
+
+    def test_over_limit_axioms_do_not_stop_the_rest(self, capsys):
+        code, out, err = run(capsys, "axioms", "--meadow", "gf:1009")
+        assert code == 4
+        assert out == (
+            "cancel_sq: valid (1009 assignments)\n"
+            "dbz: valid (1009 assignments)\n"
+            "gil: valid (1009 assignments)\n"
+            "inv_inv: valid (1009 assignments)\n"
+        )
+        skipped = sorted(set(AXIOMS) - {"cancel_sq", "dbz", "gil", "inv_inv"})
+        assert [line.split(": ")[1] for line in err.splitlines()] == skipped
+        assert err.count("the limit is 1000000 assignments") == 10
 
     def test_infinite_backend_rejected(self, capsys):
         assert run(capsys, "axioms", "--meadow", "q0")[0] == 4

@@ -163,6 +163,20 @@ class TestJsonNesting:
         assert out == ""
         assert "nests too deeply for JSON output" in err
 
+    @pytest.mark.parametrize(
+        "argv, ones",
+        [(["parse", "--json"], 495), (["normalize", "--trace"], 494)],
+        ids=["parse", "normalize"],
+    )
+    def test_cli_boundary(self, capsys, argv, ones):
+        # The limit is a fixed number of containers, whatever the stack depth.
+        assert main([*argv, "+".join(["1"] * ones)]) == 0
+        capsys.readouterr()
+        assert main([*argv, "+".join(["1"] * (ones + 1))]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "nests too deeply for JSON output" in err
+
 
 class TestNormalizerDepth:
     def test_domain_error(self):

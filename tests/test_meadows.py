@@ -194,6 +194,30 @@ class TestEvaluateContract:
         env = {"x": Fraction(3)}
         assert evaluate(Div(Var("x"), Numeral(2)), Q, env) == Fraction(3, 2)
 
+    @pytest.mark.parametrize(
+        "meadow, value",
+        [
+            (Gfp(5), Residue(3, 7)),
+            (Gfp(5), Residue(7, 5)),
+            (Gfp(5), Fraction(3)),
+            (Gfp(5), 3),
+            (Q, Residue(3, 5)),
+            (Q, True),
+            (Q, ERROR),
+            (C, Residue(3, 5)),
+            (C, 1.5),
+        ],
+        ids=["gf-residue-mod-7", "gf-unreduced", "gf-fraction", "gf-int", "q0-residue", "q0-bool", "q0-error",
+             "common-residue", "common-float"],
+    )
+    def test_value_outside_the_carrier(self, meadow, value):
+        x_plus_one = parse("x+1")
+        with pytest.raises(EvalError, match=f"'x' .* {meadow.name}$"):
+            evaluate(x_plus_one, meadow, {"x": value})
+        if not isinstance(meadow, Gfp):  # the exhaustive check builds its own values
+            with pytest.raises(EvalError, match=f"'x' .* {meadow.name}$"):
+                check_identity(x_plus_one, x_plus_one, [], meadow, [{"x": value}])
+
     def test_totality_on_random_closed_terms(self):
         rng = random.Random(9)
         backends = (Q, Gfp(5), C)
