@@ -1,9 +1,10 @@
 """Normalization of closed terms to simplified flat fractions.
 
-Two normalizers share one bottom-up engine.  Both rewrite the whole term
-step by step, so every derivation step records the complete term before and
-after, the position rewritten, the rule applied, and the numerals the step
-assumes nonzero.
+Two normalizers share one bottom-up engine on one explicit stack; it refuses
+with :class:`DomainError` to expand a subterm at a position 990 or more entries
+long (``_MAX_DEPTH``).  Both rewrite the whole term step by step, so every
+derivation step records the complete term before and after, the position
+rewritten, the rule applied, and the numerals the step assumes nonzero.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -37,8 +38,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .errors import DomainError, EvalError, MatchError, SafetyError
-from .meadows import Q0, evaluate
+from .errors import DomainError, EvalError, MatchError, PositionError, SafetyError
+from .meadows import Q0, _evaluate, evaluate
 from .syntax import _dumps, term_to_json_obj, to_text
 from .terms import (
     Add,
@@ -153,22 +154,13 @@ def _same_term(t: Term) -> Term:
 
 def _ring_value(t: Term) -> int:
     """Integer value of a division-free closed term."""
-    vals: list[int] = []
-    for s in postorder(t):
-        cls = type(s)
-        if cls is Numeral:
-            vals.append(s.value)
-        elif cls is Neg:
-            vals[-1] = -vals[-1]
-        elif cls is Add or cls is Mul:
-            y = vals.pop()
-            vals[-1] = vals[-1] + y if cls is Add else vals[-1] * y
-        else:  # name the outermost offender, the first one in preorder
-            stack = [t]
-            while type(stack[-1]) not in (Div, Var):
-                stack += reversed(children(stack.pop()))
-            raise MatchError(f"not a division-free closed term: {to_text(stack[-1])}")
-    return vals[0]
+    nodes = postorder(t)
+    if {Div, Var}.isdisjoint(map(type, nodes)):
+        return int(_evaluate(nodes, Q0(), {}))
+    stack = [t]  # name the outermost offender, the first one in preorder
+    while type(stack[-1]) not in (Div, Var):
+        stack += reversed(children(stack.pop()))
+    raise MatchError(f"not a division-free closed term: {to_text(stack[-1])}")
 
 
 def find_unsafe_fraction(t: Term) -> tuple[Position, Term] | None:
@@ -214,28 +206,31 @@ def _flat(n: int, l: int) -> Div:
     return Div(signed_numeral(n), Numeral(l))
 
 
-class _Engine:
-    """One innermost rewriting pass over a whole term.
+#: Nodes whose position has this many entries or more are not expanded.  Each
+#: step copies the path to its redex, so a derivation costs depth squared.
+_MAX_DEPTH = 990
 
-    ``_norm(t, pos)`` takes the original subterm ``t`` at ``pos``, rewrites it
-    to its canonical shape, and returns the integers of that shape.  Each
-    contractum is built from the integers its operands returned, so the pass
-    never reads the rewritten term back; only ``_rewrite`` touches the whole
-    term, to record it before and after each step.
+
+class _Engine:
+    """One innermost rewriting pass over a whole term, on one explicit stack.
+
+    A frame of ``run`` is ``(subterm, position, embed, done)``.  A division-free
+    subterm is evaluated on its first visit; any other is pushed again with
+    ``done`` set, and then merges the shapes its operands left on ``shapes``.
+    ``embed`` marks the root and the operands of ``+`` and ``*``, whose
+    division-free results become ``x/1`` before the next operand is touched.
+    Contracta are built from integers; only ``_rewrite`` reads the whole term.
     """
 
-    def __init__(self, term: Term, safe: bool):
-        self.current = term
+    def __init__(self, safe: bool):
         self.safe = safe
         self.steps: Derivation = []
         self.conditions: set[int] = set()
-        # Keyed by id: the input outlives the pass, so no id is reused.
-        self.values: dict[int, int] = {}
-        self._record_values(term)
 
-    def _record_values(self, t: Term) -> None:
-        """Record the value of every division-free subterm of ``t``."""
-        values = self.values
+    def _record_values(self, t: Term) -> dict[int, int]:
+        """The value of every division-free subterm of ``t``."""
+        # Keyed by id: the input outlives the pass, so no id is reused.
+        values: dict[int, int] = {}
         for s in postorder(t):
             cls = type(s)
             if cls is Numeral:
@@ -246,6 +241,7 @@ class _Engine:
             elif cls is not Div and id(s.left) in values and id(s.right) in values:
                 x, y = values[id(s.left)], values[id(s.right)]
                 values[id(s)] = x + y if cls is Add else x * y
+        return values
 
     def _rewrite(self, pos: Position, rule: str, new_sub: Term, conds=()) -> None:
         before = self.current
@@ -257,11 +253,52 @@ class _Engine:
 
     # -- canonical shapes -------------------------------------------------
     #
-    # Normalized subterms take one of two shapes, and ``_norm`` returns the
-    # integers of the shape the subterm at ``pos`` now has:
+    # Normalized subterms take one of two shapes, and ``run`` keeps the
+    # integers of the shape each finished subterm now has:
     #   v       for the signed numeral  k  or  -(k)  denoting v
     #   (n, l)  for the reduced flat fraction  Div(signed numeral n, numeral l)
     # A subterm normalizes to ``(n, l)`` exactly when a division occurs in it.
+
+    def run(self, t: Term) -> NormalForm:
+        """Normalize the closed term ``t`` to a flat fraction."""
+        self.current = t
+        values = self._record_values(t)
+        merge = {Div: self._divide, Add: self._merge_sum, Mul: self._merge_product}
+        shapes: list[int | _Frac] = []
+        stack: list[tuple[Term, Position, bool, bool]] = [(t, (), True, False)]
+        while stack:
+            s, pos, embed, done = stack.pop()
+            cls = type(s)
+            if done:
+                if cls is Neg:
+                    n, l = shapes[-1]
+                    num = Neg(signed_numeral(n))
+                    self._rewrite(pos, RULE_CR_FRAC, Div(num, Numeral(l)))
+                    shapes[-1] = self._canon_pure(pos + (0,), num, -n), l
+                else:
+                    right = shapes.pop()
+                    shapes[-1] = merge[cls](pos, shapes[-1], right)
+                continue
+            v = values.get(id(s))
+            if v is not None:
+                v = self._canon_pure(pos, s, v)
+                if embed:
+                    self._rewrite(pos, RULE_CR_EMBED, _flat(v, 1))
+                    v = v, 1
+                shapes.append(v)
+                continue
+            if len(pos) >= _MAX_DEPTH:
+                raise DomainError("the term nests too deeply to normalize")
+            stack.append((s, pos, embed, True))
+            if cls is Neg:
+                stack.append((s.arg, pos + (0,), False, False))
+            elif cls is Div:
+                stack.append((s.denominator, pos + (1,), False, False))
+                stack.append((s.numerator, pos + (0,), False, False))
+            else:
+                stack.append((s.right, pos + (1,), True, False))
+                stack.append((s.left, pos + (0,), True, False))
+        return NormalForm(self.current, self.conditions, self.steps)
 
     def _canon_pure(self, pos: Position, t: Term, v: int) -> int:
         """Rewrite division-free ``t`` at ``pos``, denoting ``v``, to a signed numeral."""
@@ -297,33 +334,6 @@ class _Engine:
             self._rewrite(pos, RULE_FEQ, _flat(nv, dv), conds=(g,))
         return nv, dv
 
-    # -- structural cases --------------------------------------------------
-
-    def _norm(self, t: Term, pos: Position) -> int | _Frac:
-        v = self.values.get(id(t))
-        if v is not None:
-            return self._canon_pure(pos, t, v)
-        if isinstance(t, Neg):
-            n, l = self._norm(t.arg, pos + (0,))
-            num = Neg(signed_numeral(n))
-            self._rewrite(pos, RULE_CR_FRAC, Div(num, Numeral(l)))
-            return self._canon_pure(pos + (0,), num, -n), l
-        if isinstance(t, Div):
-            return self._norm_division(t, pos)
-        left = self._norm_fraction(t.left, pos + (0,))
-        right = self._norm_fraction(t.right, pos + (1,))
-        if isinstance(t, Add):
-            return self._merge_sum(pos, left, right)
-        return self._merge_product(pos, left, right)
-
-    def _norm_fraction(self, t: Term, pos: Position) -> _Frac:
-        """Normalize ``t`` at ``pos`` and embed a pure result as ``x/1``."""
-        shape = self._norm(t, pos)
-        if isinstance(shape, tuple):
-            return shape
-        self._rewrite(pos, RULE_CR_EMBED, _flat(shape, 1))
-        return shape, 1
-
     def _merge_sum(self, pos: Position, left: _Frac, right: _Frac) -> _Frac:
         (n1, l1), (n2, l2) = left, right
         if not self.safe:
@@ -345,9 +355,7 @@ class _Engine:
         den = Mul(Numeral(l1), Numeral(l2))
         return self._contract(pos, RULE_CR_MUL, num, den, n1 * n2, l1 * l2)
 
-    def _norm_division(self, t: Div, pos: Position) -> _Frac:
-        num = self._norm(t.numerator, pos + (0,))
-        den = self._norm(t.denominator, pos + (1,))
+    def _divide(self, pos: Position, num: int | _Frac, den: int | _Frac) -> _Frac:
         if isinstance(num, tuple):
             num, l1 = num
             old_den = _flat(*den) if isinstance(den, tuple) else signed_numeral(den)
@@ -356,9 +364,6 @@ class _Engine:
             # Normalize the new denominator ``l1 * den`` as its own subterm.
             if isinstance(den, tuple):
                 self._rewrite(pos + (1, 0), RULE_CR_EMBED, _flat(l1, 1))
-                # ``den`` is reduced already: it takes no step, but its
-                # denominator is recorded again as a finalized fraction's.
-                self.conditions.add(den[1])
                 den = self._merge_product(pos + (1,), (l1, 1), den)
             else:
                 den = self._canon_pure(pos + (1,), new_den, l1 * den)
@@ -383,12 +388,7 @@ def _normalize(t: Term, safe: bool) -> NormalForm:
                 term=sub,
                 position=pos,
             )
-    engine = _Engine(t, safe)
-    try:
-        engine._norm_fraction(t, ())
-    except RecursionError:
-        raise DomainError("the term nests too deeply to normalize") from None
-    return NormalForm(engine.current, engine.conditions, engine.steps)
+    return _Engine(safe).run(t)
 
 
 def normalize_full(t: Term) -> NormalForm:
@@ -424,9 +424,10 @@ def apply_rule(
     ``DBZ`` must be enabled explicitly.  A non-matching instance raises
     :class:`MatchError`.
     """
-    inst = instantiation or {}
-    sub = subterm_at(t, tuple(position))
-    return replace_at(t, tuple(position), _apply_at(sub, rule, inst, enable_dbz))
+    if not isinstance(position, (tuple, list)):
+        raise PositionError(f"a position is a list of child indices, got {position!r}")
+    pos, inst = tuple(position), instantiation or {}
+    return replace_at(t, pos, _apply_at(subterm_at(t, pos), rule, inst, enable_dbz))
 
 
 def _apply_at(sub: Term, rule: str, inst: dict, enable_dbz: bool) -> Term:

@@ -154,11 +154,13 @@ class Q0(_Rationals):
 class Gfp:
     """The prime field GF(p) with the inverse totalized by ``0**-1 = 0``.
 
-    ``p`` must be a prime below ``_MAX_MODULUS`` (about 3.3e24), the range in
-    which primality is decided exactly; larger moduli raise ``DomainError``.
+    ``p`` must be an int prime below ``_MAX_MODULUS`` (about 3.3e24), the range
+    in which primality is decided exactly; any other modulus raises ``DomainError``.
     """
 
     def __init__(self, p: int):
+        if type(p) is not int:
+            raise DomainError(f"modulus must be an integer, got {p!r}")
         if p >= _MAX_MODULUS:
             raise DomainError(f"modulus {p} is too large: the limit is {_MAX_MODULUS}")
         if not _is_prime(p):

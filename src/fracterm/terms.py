@@ -218,33 +218,30 @@ def subterms(t: Term) -> list[tuple[Position, Term]]:
     return out
 
 
+def _descend(t: Term, pos: Position) -> tuple[list[tuple[Term, tuple[Term, ...], int]], Term]:
+    """The subterm at ``pos``, with each node above it, its operands and the index taken."""
+    spine: list[tuple[Term, tuple[Term, ...], int]] = []
+    for i in pos:
+        kids = children(t)
+        if type(i) is not int or not 0 <= i < len(kids):
+            raise PositionError(
+                f"position {list(pos)} invalid at step {len(spine)}: "
+                f"{type(t).__name__} has {len(kids)} children"
+            )
+        spine.append((t, kids, i))
+        t = kids[i]
+    return spine, t
+
+
 def subterm_at(t: Term, pos: Position) -> Term:
     """Return the subterm addressed by ``pos``."""
-    cur = t
-    for step, i in enumerate(pos):
-        kids = children(cur)
-        if i < 0 or i >= len(kids):
-            raise PositionError(
-                f"position {list(pos)} invalid at step {step}: "
-                f"{type(cur).__name__} has {len(kids)} children"
-            )
-        cur = kids[i]
-    return cur
+    return _descend(t, pos)[1]
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """Return a copy of ``t`` with the subterm at ``pos`` replaced by ``new``."""
-    spine: list[tuple[type, tuple[Term, ...], int]] = []
-    for i in pos:
-        kids = children(t)
-        if i < 0 or i >= len(kids):
-            raise PositionError(
-                f"position index {i} out of range for {type(t).__name__}"
-            )
-        spine.append((type(t), kids, i))
-        t = kids[i]
-    for cls, kids, i in reversed(spine):
-        new = cls(*kids[:i], new, *kids[i + 1 :])
+    for node, kids, i in reversed(_descend(t, pos)[0]):
+        new = type(node)(*kids[:i], new, *kids[i + 1 :])
     return new
 
 

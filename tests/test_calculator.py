@@ -1,5 +1,6 @@
 """Normalizer, single-step rewriting, and derivation-trace tests."""
 
+import hashlib
 import json
 import math
 import random
@@ -410,6 +411,21 @@ class TestNormalizerProperties:
         obj = nf1.to_json_obj()
         assert set(obj) == {"result", "conditions", "steps"}
         assert obj["conditions"] == sorted(obj["conditions"])
+
+    def test_random_corpus_traces_are_pinned(self):
+        # Any change to a rule, a step's order or position, or the JSON layout
+        # changes this digest; the goldens pin only four derivations.
+        rng = random.Random(2026)
+        lines = []
+        for i in range(600):
+            t = (random_unsafe_biased_term if i % 2 else random_closed_term)(rng, 6)
+            lines.append(normalize_full(t).to_json(indent=None))
+            try:
+                lines.append(normalize_safe(t).to_json(indent=None))
+            except SafetyError as e:
+                lines.append(str(e))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "bd6c872df24ed92035d9ba8e3a9448295865073466b9d39345686c72cba18d87"
 
 
 def _left_sum(items):

@@ -6,11 +6,17 @@ left-nested sum of n ones denotes n, and n minus signs around 1 denote
 (-1)**n.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from fracterm.calculator import find_unsafe_fraction, normalize_safe, replay_derivation
+from fracterm.calculator import (
+    find_unsafe_fraction,
+    normalize_full,
+    normalize_safe,
+    replay_derivation,
+)
 from fracterm.classify import classify
 from fracterm.cli import main
 from fracterm.errors import DomainError, ParseError
@@ -178,11 +184,40 @@ class TestJsonNesting:
         assert "nests too deeply for JSON output" in err
 
 
+def _called_deep(f, frames):
+    """``f()``, called once the interpreter stack is ``frames`` frames deep."""
+    here, depth = sys._getframe(), 0
+    while here is not None:
+        here, depth = here.f_back, depth + 1
+
+    def descend(n):
+        return f() if n <= 0 else descend(n - 1)
+
+    return descend(frames - depth - 1)
+
+
 class TestNormalizerDepth:
+    # Only nodes at positions shorter than 990 entries are expanded, and the
+    # innermost fraction of depth d sits at 2(d - 1): 495 normalizes, 496 not.
+
     def test_domain_error(self):
         with pytest.raises(DomainError, match="nests too deeply to normalize"):
-            normalize_safe(continued_fraction(250))
+            normalize_safe(continued_fraction(496))
 
     def test_cli_exit_code(self, capsys):
-        assert main(["normalize", to_text(continued_fraction(250))]) == 4
+        assert main(["normalize", to_text(continued_fraction(496))]) == 4
         assert "nests too deeply to normalize" in capsys.readouterr().err
+
+    def test_limit_ignores_callers_stack(self):
+        t = continued_fraction(40)
+        frames = sys.getrecursionlimit() - 100
+        for normalize in (normalize_safe, normalize_full):
+            nf = _called_deep(lambda: normalize(t), frames)
+            assert eq_syn(nf.result, normalize(t).result)
+
+    def test_cli_continued_250(self, capsys):
+        v = Fraction(1)
+        for _ in range(250):
+            v = 1 / (1 + v)
+        assert main(["normalize", to_text(continued_fraction(250))]) == 0
+        assert capsys.readouterr().out.startswith(f"({v.numerator}/{v.denominator})\n")

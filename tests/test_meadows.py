@@ -108,7 +108,7 @@ class TestPrimeFields:
                 assert Residue(v, p) * g.inv(Residue(v, p)) == Residue(1, p)
 
     def test_non_prime_rejected(self):
-        for bad in (0, 1, 4, 9, 15):
+        for bad in (0, 1, 4, 9, 15, 7.0, True, "7", Fraction(7)):
             with pytest.raises(DomainError):
                 Gfp(bad)
 

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from fracterm.calculator import apply_rule
 from fracterm.errors import PositionError
 from fracterm.meadows import CommonQ, Gfp, Q0, denote
+from fracterm.syntax import parse
 from fracterm.terms import (
     Add,
     Div,
@@ -135,6 +137,17 @@ class TestTraversal:
     def test_subterm_at_invalid_position(self):
         with pytest.raises(PositionError):
             subterm_at(Numeral(1), (0,))
+        # Every entry must be an in-range int; a bool or float is not an index.
+        t = parse("(1/2)/3")
+        for pos in (("a",), (0.0,), (True,), (-1,), (2,), (0, 0, 0)):
+            with pytest.raises(PositionError):
+                subterm_at(t, pos)
+            with pytest.raises(PositionError):
+                replace_at(t, pos, Numeral(1))
+            with pytest.raises(PositionError):
+                apply_rule(t, "DIV1", pos)
+        with pytest.raises(PositionError):
+            apply_rule(t, "DIV1", None)
 
     @given(terms_strategy())
     def test_subterm_count_matches_node_count(self, t):
