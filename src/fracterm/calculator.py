@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .errors import DomainError, EvalError, MatchError, PositionError, SafetyError
+from .errors import DomainError, EvalError, MatchError, SafetyError
 from .meadows import Q0, _evaluate, evaluate
 from .syntax import _dumps, term_to_json_obj, to_text
 from .terms import (
@@ -152,11 +152,17 @@ def _same_term(t: Term) -> Term:
     return t
 
 
+class _Integers:
+    """The ring of integers as an evaluation backend, for division-free terms."""
+
+    from_int = int
+
+
 def _ring_value(t: Term) -> int:
     """Integer value of a division-free closed term."""
     nodes = postorder(t)
     if {Div, Var}.isdisjoint(map(type, nodes)):
-        return int(_evaluate(nodes, Q0(), {}))
+        return _evaluate(nodes, _Integers(), {})
     stack = [t]  # name the outermost offender, the first one in preorder
     while type(stack[-1]) not in (Div, Var):
         stack += reversed(children(stack.pop()))
@@ -424,10 +430,8 @@ def apply_rule(
     ``DBZ`` must be enabled explicitly.  A non-matching instance raises
     :class:`MatchError`.
     """
-    if not isinstance(position, (tuple, list)):
-        raise PositionError(f"a position is a list of child indices, got {position!r}")
-    pos, inst = tuple(position), instantiation or {}
-    return replace_at(t, pos, _apply_at(subterm_at(t, pos), rule, inst, enable_dbz))
+    inst = instantiation or {}
+    return replace_at(t, position, _apply_at(subterm_at(t, position), rule, inst, enable_dbz))
 
 
 def _apply_at(sub: Term, rule: str, inst: dict, enable_dbz: bool) -> Term:

@@ -12,7 +12,8 @@ Each value carries its ring arithmetic (``a`` absorbs every operation);
 each backend supplies numerals, division and the zero test, and ``Q0`` and
 ``CommonQ`` differ only in the value of ``x/0``.
 Identity checking is exhaustive on ``Gfp`` and sample-driven on the two
-infinite carriers.
+infinite carriers; either way it runs :func:`_evaluate` once per block of
+assignments, on columns of values.
 
 :func:`evaluate` is the one evaluator of all three.  Given an ``unsafe``
 list it also collects every fraction whose denominator denotes zero or
@@ -23,9 +24,10 @@ common and safe classes off the same walk.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, TypeAlias
+from typing import Any, Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
 from .syntax import _decimal, _dumps
@@ -230,11 +232,14 @@ def _checked(env: Assignment, meadow: Meadow) -> Assignment:
     return env
 
 
-def _evaluate(
-    nodes: list[Term], meadow: Meadow, env: Assignment, unsafe: list[Div] | None = None
-) -> MeadowValue:
-    """:func:`evaluate` over a term's :func:`postorder` node list."""
-    vals: list[MeadowValue] = []
+def _evaluate(nodes: list[Term], meadow: Any, env: Mapping, unsafe: list[Div] | None = None) -> Any:
+    """:func:`evaluate` over a term's :func:`postorder` node list.
+
+    ``meadow`` is any backend with ``from_int`` and ``div`` (and ``is_zero``
+    when ``unsafe`` is a list) whose values do ``+``, ``*`` and unary ``-``:
+    a meadow, a block of assignments to one, or the integers.
+    """
+    vals: list = []
     for s in nodes:
         cls = type(s)
         if cls is Numeral:
@@ -314,6 +319,12 @@ def check_identity(
     conditions exclude.  More than ``_MAX_ASSIGNMENTS`` of them raise
     ``DomainError``.  On the infinite backends a list of sample
     assignments must be supplied.
+
+    Assignments are checked a block at a time: each term goes through
+    :func:`_evaluate` once per block, on columns that hold its values under
+    every assignment of the block.  A counterexample is the first failing
+    assignment in ``itertools.product`` order on ``Gfp`` and in sample order
+    otherwise; every sample in its block must bind every variable.
     """
     lhs, rhs = postorder(lhs), postorder(rhs)
     conditions = [postorder(c) for c in conditions]
@@ -321,30 +332,154 @@ def check_identity(
         {s.name for nodes in (lhs, rhs, *conditions) for s in nodes if type(s) is Var}
     )
 
+    blocks: Iterator[_FieldBlock | _SampleBlock]
     if isinstance(meadow, Gfp):
         if meadow.p ** len(names) > _MAX_ASSIGNMENTS:
             raise DomainError(
                 f"exhaustive check over {meadow.name} needs {meadow.p}**{len(names)}"
                 f" assignments; the limit is {_MAX_ASSIGNMENTS} assignments"
             )
-        pool = list(meadow.elements()) if names else []  # product lists it even for repeat=0
-        combos = itertools.product(pool, repeat=len(names))
-        assignments: Iterable[Assignment] = (dict(zip(names, c)) for c in combos)
+        blocks = _field_blocks(meadow, names)
     else:
         if samples is None:
             raise DomainError(
                 f"backend {meadow.name!r} is infinite; supply sample assignments"
             )
-        assignments = (_checked(env, meadow) for env in samples)
+        blocks = _sample_blocks(meadow, samples, names)
 
     checked = 0
-    for env in assignments:
-        checked += 1
-        if any(meadow.is_zero(_evaluate(c, meadow, env)) for c in conditions):
-            continue
-        if _evaluate(lhs, meadow, env) != _evaluate(rhs, meadow, env):
-            return CheckReport("counterexample", checked, dict(env))
+    for block in blocks:
+        left, right = _evaluate(lhs, block, block.env), _evaluate(rhs, block, block.env)
+        if left.values != right.values:
+            fails = map(operator.ne, left.values, right.values)
+            for c in conditions:  # an assignment that zeroes a condition is excluded
+                col = _evaluate(c, block, block.env).values
+                fails = map(operator.and_, fails, map(operator.ne, col, itertools.repeat(0)))
+            i = next(itertools.compress(itertools.count(), fails), None)
+            if i is not None:
+                return CheckReport("counterexample", checked + i + 1, block.assignment(i))
+        checked += block.size
     return CheckReport("valid", checked, None)
+
+
+# Block sizes grow from _FIRST_BLOCK by a factor of 4 up to _MAX_BLOCK, so an
+# early counterexample costs little and no column outgrows _MAX_BLOCK values.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 4096
+
+
+def _block_sizes() -> Iterator[int]:
+    n = _FIRST_BLOCK
+    while True:
+        yield n
+        n = min(4 * n, _MAX_BLOCK)
+
+
+class _Column:
+    """The values of one term node under every assignment of a block.
+
+    ``+``, ``*`` and unary ``-`` act elementwise.  A GF(p) column holds plain
+    ints reduced modulo ``modulus``; a rational column (``modulus`` None) holds
+    ``Fraction`` and ``a``.  On both, an element is zero exactly when it ``== 0``.
+    """
+
+    __slots__ = ("values", "modulus")
+
+    def __init__(self, values: list, modulus: int | None):
+        self.values = values
+        self.modulus = modulus
+
+    def __add__(self, other: _Column) -> _Column:
+        p = self.modulus
+        if p is None:
+            return _Column([a + b for a, b in zip(self.values, other.values)], p)
+        return _Column([(a + b) % p for a, b in zip(self.values, other.values)], p)
+
+    def __mul__(self, other: _Column) -> _Column:
+        p = self.modulus
+        if p is None:
+            return _Column([a * b for a, b in zip(self.values, other.values)], p)
+        return _Column([a * b % p for a, b in zip(self.values, other.values)], p)
+
+    def __neg__(self) -> _Column:
+        p = self.modulus
+        if p is None:
+            return _Column([-a for a in self.values], p)
+        return _Column([-a % p for a in self.values], p)
+
+
+class _FieldBlock:
+    """GF(p) on columns: assignments ``start`` to ``stop - 1`` of an exhaustive check.
+
+    Assignment ``i`` binds the ``j``-th of ``names`` to digit ``j`` of ``i``
+    in base ``p``, most significant first, which is ``itertools.product``
+    order.  ``inverses`` memoizes ``field.inv`` across the blocks of one
+    check, for the residues met so far only: no table of the field is built.
+    """
+
+    def __init__(
+        self, field: Gfp, names: list[str], start: int, stop: int, inverses: dict[int, int]
+    ):
+        p = self.p = field.p
+        self.field, self.size, self.inverses = field, stop - start, inverses
+        rows = range(start, stop)
+        self.env: dict[str, _Column] = {}
+        for j, name in enumerate(names):
+            w = p ** (len(names) - 1 - j)
+            self.env[name] = _Column([i // w % p for i in rows], p)
+
+    def from_int(self, n: int) -> _Column:
+        return _Column([n % self.p] * self.size, self.p)
+
+    def div(self, x: _Column, y: _Column) -> _Column:
+        p, inv = self.p, self.inverses
+        for b in set(y.values).difference(inv):
+            inv[b] = self.field.inv(Residue(b, p)).value
+        return _Column([a * inv[b] % p for a, b in zip(x.values, y.values)], p)
+
+    def assignment(self, i: int) -> dict[str, MeadowValue]:
+        return {name: Residue(col.values[i], self.p) for name, col in self.env.items()}
+
+
+class _SampleBlock:
+    """A rational backend on columns: one chunk of sample assignments."""
+
+    def __init__(self, meadow: Q0 | CommonQ, chunk: list[Assignment], names: list[str]):
+        self.meadow, self.chunk, self.size = meadow, chunk, len(chunk)
+        try:
+            self.env = {name: _Column([env[name] for env in chunk], None) for name in names}
+        except KeyError as exc:
+            raise EvalError(f"unbound variable {exc.args[0]!r}") from None
+
+    def from_int(self, n: int) -> _Column:
+        return _Column([self.meadow.from_int(n)] * self.size, None)
+
+    def div(self, x: _Column, y: _Column) -> _Column:
+        return _Column(list(map(self.meadow.div, x.values, y.values)), None)
+
+    def assignment(self, i: int) -> dict[str, MeadowValue]:
+        return dict(self.chunk[i])
+
+
+def _field_blocks(field: Gfp, names: list[str]) -> Iterator[_FieldBlock]:
+    total, start, inverses = field.p ** len(names), 0, {}
+    for n in _block_sizes():
+        stop = min(start + n, total)
+        yield _FieldBlock(field, names, start, stop, inverses)
+        if stop == total:
+            return
+        start = stop
+
+
+def _sample_blocks(
+    meadow: Q0 | CommonQ, samples: Iterable[Assignment], names: list[str]
+) -> Iterator[_SampleBlock]:
+    samples = iter(samples)
+    for n in _block_sizes():
+        chunk = [_checked(env, meadow) for env in itertools.islice(samples, n)]
+        if not chunk:
+            return
+        yield _SampleBlock(meadow, chunk, names)
 
 
 def meadow_from_name(name: str) -> Meadow:

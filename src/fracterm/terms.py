@@ -219,7 +219,12 @@ def subterms(t: Term) -> list[tuple[Position, Term]]:
 
 
 def _descend(t: Term, pos: Position) -> tuple[list[tuple[Term, tuple[Term, ...], int]], Term]:
-    """The subterm at ``pos``, with each node above it, its operands and the index taken."""
+    """The subterm at ``pos``, with each node above it, its operands and the index taken.
+
+    Raises :class:`PositionError` unless ``pos`` is a tuple or list of in-range child indices.
+    """
+    if not isinstance(pos, (tuple, list)):
+        raise PositionError(f"a position is a list of child indices, got {pos!r}")
     spine: list[tuple[Term, tuple[Term, ...], int]] = []
     for i in pos:
         kids = children(t)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from fracterm.terms import Add, Div, Mul, Neg, Numeral, Term
+from fracterm.terms import Add, Div, Mul, Neg, Numeral, Term, Var, postorder
 
 
 def random_closed_term(
@@ -46,6 +46,20 @@ def random_fracterm(
         random_closed_term(rng, max_depth, max_numeral),
         random_closed_term(rng, max_depth, max_numeral),
     )
+
+
+def open_term(rng: random.Random, t: Term, names: str = "xyz") -> Term:
+    """``t`` with each numeral, with probability one half, replaced by a variable."""
+    vals: list[Term] = []
+    for s in postorder(t):
+        if isinstance(s, Numeral):
+            vals.append(Var(rng.choice(names)) if rng.random() < 0.5 else s)
+        elif isinstance(s, Neg):
+            vals[-1] = Neg(vals[-1])
+        else:
+            right = vals.pop()
+            vals[-1] = type(s)(vals[-1], right)
+    return vals[0]
 
 
 def zero_valued_term(rng: random.Random, max_numeral: int = 12) -> Term:

@@ -1,10 +1,13 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from fracterm.cli import AXIOMS, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -217,6 +220,11 @@ class TestAxiomsCommand:
         assert lines["dbz"].startswith("valid")
         assert lines["cfar"].startswith("valid")
         assert lines["far"].startswith("counterexample")
+
+    def test_gf7_report_matches_golden(self, capsys):
+        code, out, err = run(capsys, "axioms", "--meadow", "gf:7")
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "axioms_gf7.txt").read_text()
 
     def test_single_axiom(self, capsys):
         code, out, _ = run(capsys, "axioms", "--meadow", "gf:5", "--axiom", "inv_inv")

@@ -9,9 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from fracterm.cli import AXIOMS
 from fracterm.errors import DomainError, EvalError
 from fracterm.meadows import (
     ERROR,
+    CheckReport,
     CommonQ,
     Gfp,
     Q0,
@@ -23,9 +25,9 @@ from fracterm.meadows import (
     meadow_from_name,
 )
 from fracterm.syntax import parse
-from fracterm.terms import Add, Div, Mul, Numeral, Var
+from fracterm.terms import Add, Div, Mul, Numeral, Var, free_vars
 
-from termgen import random_closed_term
+from termgen import open_term, random_closed_term
 
 Q = Q0()
 C = CommonQ()
@@ -298,6 +300,90 @@ class TestCheckIdentity:
         assert obj["status"] == "counterexample"
         assert obj["assignments_checked"] == 1
         assert obj["counterexample"] == {"x": "0 mod 2"}
+
+
+def _one_at_a_time(lhs, rhs, conds, meadow, samples=None):
+    """The report of the check done one assignment at a time through ``evaluate``."""
+    names = sorted(set().union(*(free_vars(t) for t in (lhs, rhs, *conds))))
+    if samples is None:
+        field = [Residue(v, meadow.p) for v in range(meadow.p)]
+        samples = (dict(zip(names, c)) for c in itertools.product(field, repeat=len(names)))
+    checked = 0
+    for env in samples:
+        checked += 1
+        if any(meadow.is_zero(evaluate(c, meadow, env)) for c in conds):
+            continue
+        if evaluate(lhs, meadow, env) != evaluate(rhs, meadow, env):
+            return CheckReport("counterexample", checked, dict(env)).to_json()
+    return CheckReport("valid", checked, None).to_json()
+
+
+class TestBlockwiseCheck:
+    """Blocks of assignments give the reports of one assignment at a time."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_axioms(self, p):
+        g = Gfp(p)
+        for name, (lhs, rhs, conds) in AXIOMS.items():
+            args = (parse(lhs), parse(rhs), [parse(c) for c in conds], g)
+            assert check_identity(*args).to_json() == _one_at_a_time(*args), name
+
+    def test_random_open_pairs(self):
+        rng = random.Random(12)
+        statuses = set()
+        for k in range(300):
+            lhs, rhs = (open_term(rng, random_closed_term(rng, 4, 4)) for _ in range(2))
+            conds = [open_term(rng, random_closed_term(rng, 2, 3)) for _ in range(k % 3)]
+            g = Gfp(rng.choice((2, 3, 5, 7)))
+            report = check_identity(lhs, rhs, conds, g)
+            assert report.to_json() == _one_at_a_time(lhs, rhs, conds, g), (lhs, rhs, conds)
+            statuses.add((report.status, bool(conds)))
+            names = sorted(set().union(*(free_vars(t) for t in (lhs, rhs, *conds))))
+            samples = [
+                {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for v in names}
+                for _ in range(rng.randrange(1, 80))
+            ]
+            for m in (Q, C):
+                got = check_identity(lhs, rhs, conds, m, samples).to_json()
+                assert got == _one_at_a_time(lhs, rhs, conds, m, samples), (lhs, rhs, conds)
+        assert len(statuses) == 4  # valid and not, each with and without conditions
+
+    @pytest.mark.parametrize(
+        "p, digits",
+        [
+            (5, (0, 0, 0)),
+            (5, (2, 2, 3)),  # index 63, the last of the first block
+            (5, (2, 2, 4)),  # index 64, the first of the second
+            (5, (2, 3, 0)),
+            (5, (4, 4, 4)),
+            (2, (1,)),
+        ],
+    )
+    def test_counterexample_at_a_single_assignment(self, p, digits):
+        # s counts the variables that differ from their digit; with fewer
+        # variables than p, s*(1/s) = 1 fails only where none differs.
+        names = [f"v{j}" for j in range(len(digits))]
+        s = " + ".join(f"({v}+{-d % p})/({v}+{-d % p})" for v, d in zip(names, digits))
+        report = check_identity(parse(f"({s}) * (1/({s}))"), parse("1"), [], Gfp(p))
+        index = sum(d * p**e for e, d in enumerate(reversed(digits)))
+        assert report.assignments_checked == index + 1
+        assert report.counterexample == {v: Residue(d, p) for v, d in zip(names, digits)}
+
+    def test_last_assignment_of_gf7_to_the_fourth(self):
+        s = " + ".join(f"({v}+1)/({v}+1)" for v in "wxyz")
+        report = check_identity(parse(f"({s}) * (1/({s}))"), parse("1"), [], Gfp(7))
+        assert (report.status, report.assignments_checked) == ("counterexample", 2401)
+        assert report.to_json_obj()["counterexample"] == dict.fromkeys("wxyz", "6 mod 7")
+
+    def test_endless_samples_stop_at_the_counterexample(self):
+        samples = ({"x": Fraction(0 if k == 3 else k)} for k in itertools.count(1))
+        report = check_identity(parse("x/x"), parse("1"), [], Q, samples)
+        assert (report.status, report.assignments_checked) == ("counterexample", 3)
+        assert report.counterexample == {"x": Fraction(0)}
+
+    def test_every_sample_binds_every_variable(self):
+        with pytest.raises(EvalError, match="unbound variable 'y'"):
+            check_identity(parse("x"), parse("y"), [], Q, [{"x": Fraction(1)}])
 
 
 class TestFormatting:

@@ -137,9 +137,9 @@ class TestTraversal:
     def test_subterm_at_invalid_position(self):
         with pytest.raises(PositionError):
             subterm_at(Numeral(1), (0,))
-        # Every entry must be an in-range int; a bool or float is not an index.
+        # A position is a list of in-range ints; a bool or float is not an index.
         t = parse("(1/2)/3")
-        for pos in (("a",), (0.0,), (True,), (-1,), (2,), (0, 0, 0)):
+        for pos in (("a",), (0.0,), (True,), (-1,), (2,), (0, 0, 0), None, 5):
             with pytest.raises(PositionError):
                 subterm_at(t, pos)
             with pytest.raises(PositionError):
