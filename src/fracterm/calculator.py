@@ -2,9 +2,10 @@
 
 Two normalizers share one bottom-up engine on one explicit stack; it refuses
 with :class:`DomainError` to expand a subterm at a position 990 or more entries
-long (``_MAX_DEPTH``).  Both rewrite the whole term step by step, so every
-derivation step records the complete term before and after, the position
-rewritten, the rule applied, and the numerals the step assumes nonzero.
+long (``_MAX_DEPTH``).  Every derivation step records the position rewritten,
+the rule applied, the numerals the step assumes nonzero, and the complete term
+before and after.  The engine itself keeps only each step's contractum: the
+complete terms of a derivation are built when one of them is first read.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -99,7 +100,12 @@ RULE_DBZ = "DBZ"
 
 @dataclass(frozen=True)
 class Step:
-    """One rewrite: ``before`` becomes ``after`` by ``rule`` at ``position``."""
+    """One rewrite: ``before`` becomes ``after`` by ``rule`` at ``position``.
+
+    A step of a normal form's trace is made without ``before`` and ``after``:
+    it holds its derivation's :class:`_Terms` and its index there instead, and
+    :class:`_TraceTerm` reads each term from there on first use.
+    """
 
     rule: str
     position: Position
@@ -119,6 +125,54 @@ class Step:
             "after": term(self.after),
             "conditions": sorted(self.conditions),
         }
+
+
+class _TraceTerm:
+    """``Step.before`` or ``Step.after`` of a trace step: its term in ``_Terms``.
+
+    A non-data descriptor, so a term in the step's ``__dict__`` hides it: a
+    hand-built step never calls it, and a trace step calls it once per term.
+    """
+
+    def __init__(self, name: str, offset: int):
+        self.name, self.offset = name, offset
+
+    def __get__(self, step: Step | None, owner: type | None = None) -> Any:
+        if step is None:
+            return self
+        term = step.__dict__[self.name] = step._terms[step._i + self.offset]
+        return term
+
+
+# Set after @dataclass, which would take a class attribute for the field's default.
+Step.before = _TraceTerm("before", 0)
+Step.after = _TraceTerm("after", 1)
+
+
+class _Terms:
+    """The whole terms of one derivation: ``root``, then one after each edit.
+
+    An edit is one step's ``(position, contractum)``.  The first read builds
+    every term in one :func:`replace_at` pass over the edits.  Steps point
+    here, and this holds no step, so an unread derivation is freed without
+    the cycle collector.
+    """
+
+    __slots__ = ("root", "edits", "built")
+
+    def __init__(self, root: Term):
+        self.root = root
+        self.edits: list[tuple[Position, Term]] = []
+        self.built: list[Term] | None = None
+
+    def __getitem__(self, i: int) -> Term:
+        if self.built is None:
+            t = self.root
+            self.built = [t]
+            for pos, new in self.edits:
+                t = replace_at(t, pos, new)
+                self.built.append(t)
+        return self.built[i]
 
 
 Derivation = list[Step]
@@ -212,8 +266,9 @@ def _flat(n: int, l: int) -> Div:
     return Div(signed_numeral(n), Numeral(l))
 
 
-#: Nodes whose position has this many entries or more are not expanded.  Each
-#: step copies the path to its redex, so a derivation costs depth squared.
+#: Nodes whose position has this many entries or more are not expanded.  The
+#: engine builds each node's position tuple from its parent's, so positions
+#: cost depth squared; no step copies a term.
 _MAX_DEPTH = 990
 
 
@@ -225,7 +280,8 @@ class _Engine:
     ``done`` set, and then merges the shapes its operands left on ``shapes``.
     ``embed`` marks the root and the operands of ``+`` and ``*``, whose
     division-free results become ``x/1`` before the next operand is touched.
-    Contracta are built from integers; only ``_rewrite`` reads the whole term.
+    Contracta are built from integers, and ``_rewrite`` records each one with
+    its position; no whole term is built until a step's terms are read.
     """
 
     def __init__(self, safe: bool):
@@ -250,12 +306,14 @@ class _Engine:
         return values
 
     def _rewrite(self, pos: Position, rule: str, new_sub: Term, conds=()) -> None:
-        before = self.current
-        after = replace_at(before, pos, new_sub)
         conds = frozenset(conds)
-        self.steps.append(Step(rule, pos, before, after, conds))
+        step = object.__new__(Step)
+        step.__dict__.update(
+            rule=rule, position=pos, conditions=conds, _terms=self.terms, _i=len(self.steps)
+        )
+        self.steps.append(step)
+        self.terms.edits.append((pos, new_sub))
         self.conditions |= conds
-        self.current = after
 
     # -- canonical shapes -------------------------------------------------
     #
@@ -267,7 +325,7 @@ class _Engine:
 
     def run(self, t: Term) -> NormalForm:
         """Normalize the closed term ``t`` to a flat fraction."""
-        self.current = t
+        self.terms = _Terms(t)
         values = self._record_values(t)
         merge = {Div: self._divide, Add: self._merge_sum, Mul: self._merge_product}
         shapes: list[int | _Frac] = []
@@ -304,7 +362,8 @@ class _Engine:
             else:
                 stack.append((s.right, pos + (1,), True, False))
                 stack.append((s.left, pos + (0,), True, False))
-        return NormalForm(self.current, self.conditions, self.steps)
+        result = _flat(*shapes[0]) if self.steps else t
+        return NormalForm(result, self.conditions, self.steps)
 
     def _canon_pure(self, pos: Position, t: Term, v: int) -> int:
         """Rewrite division-free ``t`` at ``pos``, denoting ``v``, to a signed numeral."""

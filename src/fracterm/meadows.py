@@ -188,10 +188,6 @@ class Gfp:
         """Whether ``v`` is a value here: a reduced residue modulo ``p``."""
         return isinstance(v, Residue) and v.modulus == self.p and 0 <= v.value < self.p
 
-    def elements(self) -> Iterator[Residue]:
-        for v in range(self.p):
-            yield Residue(v, self.p)
-
     def __repr__(self) -> str:
         return f"Gfp({self.p})"
 
@@ -225,11 +221,15 @@ def evaluate(
 
 
 def _checked(env: Assignment, meadow: Meadow) -> Assignment:
-    """``env``, once every value it binds is known to lie in ``meadow``."""
+    """``env``, once every value it binds is known to lie in ``meadow``.
+
+    Only a rational backend takes a bound ``int``; it reads it as a ``Fraction``,
+    so that division stays exact.
+    """
     for name, v in env.items():
         if not meadow.contains(v):
             raise EvalError(f"variable {name!r} is bound to {v!r}, not a value of {meadow.name}")
-    return env
+    return {name: Fraction(v) if isinstance(v, int) else v for name, v in env.items()}
 
 
 def _evaluate(nodes: list[Term], meadow: Any, env: Mapping, unsafe: list[Div] | None = None) -> Any:

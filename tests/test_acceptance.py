@@ -282,6 +282,8 @@ def test_c8_golden_examples(capsys):
         # Between them these two derivations use all ten rules.
         safe_rules = normalize_safe(parse("-(1/2) + 3/(-6) + (4/6)/(2/3) + 5"))
         full_rules = normalize_full(parse("(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)"))
+        # A 19-step family derivation, whose terms are built when read.
+        harmonic = normalize_safe(parse("1/1+1/2+1/3+1/4+1/5+1/6"))
 
         artifacts = {
             "classify_uncommon.json": uncommon.to_json_obj(),
@@ -290,6 +292,7 @@ def test_c8_golden_examples(capsys):
             "equal_halves.json": halves.to_json_obj(),
             "normalize_safe_all_safe_rules.json": safe_rules.to_json_obj(),
             "normalize_full_zero_denominators.json": full_rules.to_json_obj(),
+            "normalize_harmonic_6.json": harmonic.to_json_obj(),
         }
         for name, obj in artifacts.items():
             path = GOLDEN / name
@@ -302,6 +305,7 @@ def test_c8_golden_examples(capsys):
             "equal_halves.json": halves,
             "normalize_safe_all_safe_rules.json": safe_rules,
             "normalize_full_zero_denominators.json": full_rules,
+            "normalize_harmonic_6.json": harmonic,
         }
         for name, result in library.items():
             assert result.to_json() + "\n" == (GOLDEN / name).read_text(), name
@@ -316,6 +320,7 @@ def test_c8_golden_examples(capsys):
             "normalize_full_zero_denominators.json": [
                 "normalize", "(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)", "--mode", "full", "--trace",
             ],
+            "normalize_harmonic_6.json": ["normalize", "1/1+1/2+1/3+1/4+1/5+1/6", "--trace"],
         }
         for name, argv in commands.items():
             capsys.readouterr()

@@ -1,5 +1,6 @@
 """Normalizer, single-step rewriting, and derivation-trace tests."""
 
+import gc
 import hashlib
 import json
 import math
@@ -459,3 +460,88 @@ class TestDeepTerms:
         nf = normalize(t)
         assert q0_value(nf.result) == q0_value(t)
         assert eq_syn(replay_derivation(nf.trace), nf.result)
+
+
+def _harmonic(n):
+    return _left_sum([Div(Numeral(1), Numeral(i)) for i in range(1, n + 1)])
+
+
+class TestLocalSteps:
+    """The engine records each step's contractum; whole terms are built when read."""
+
+    @pytest.mark.parametrize(
+        "make", [lambda: _harmonic(200), lambda: _continued_fraction(100)],
+        ids=["harmonic_200", "continued_100"],
+    )
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_normalizing_builds_no_whole_term(self, monkeypatch, normalize, make):
+        def refuse(*args):
+            raise AssertionError("a whole term was built")
+
+        t = make()
+        monkeypatch.setattr("fracterm.calculator.replace_at", refuse)
+        monkeypatch.setattr("fracterm.terms.replace_at", refuse)
+        nf = normalize(t)
+        assert q0_value(nf.result) == q0_value(t)
+        assert_normal_form(nf)
+        for step in nf.trace:
+            assert isinstance(step.rule, str) and isinstance(step.position, tuple)
+            assert step.conditions <= nf.conditions
+        monkeypatch.undo()
+        assert eq_syn(nf.trace[-1].after, nf.result)
+
+    def test_an_unread_or_read_derivation_needs_no_cycle_collector(self):
+        t = _harmonic(50)
+        gc.collect()
+        gc.disable()
+        try:
+            for normalize in (normalize_safe, normalize_full):
+                nf = normalize(t)
+                del nf
+                nf = normalize(t)
+                nf.trace[3].after
+                del nf
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_reading_order_does_not_matter(self, normalize):
+        t = parse("-(1/2) + 3/(-6) + (4/6)/(2/3) + 5*(1+1/2)")
+        in_order, last_first = normalize(t), normalize(t)
+        expected = [(s.before, s.after) for s in in_order.trace]
+        assert in_order.trace[0].before is t
+        assert eq_syn(last_first.trace[-1].after, expected[-1][1])
+        assert eq_syn(last_first.trace[0].before, expected[0][0])
+        for step, (before, after) in zip(last_first.trace, expected):
+            assert eq_syn(step.before, before) and eq_syn(step.after, after)
+
+    def test_hand_built_step(self):
+        before, after = parse("1/2"), parse("2/4")
+        step = Step(RULE_FEQ, (), before, after, frozenset({2}))
+        assert (step.rule, step.position, step.before, step.after) == (RULE_FEQ, (), before, after)
+        assert step.conditions == {2}
+        assert Step(RULE_FEQ, (), before, after).conditions == frozenset()
+        same = Step(RULE_FEQ, (), parse("1/2"), parse("2/4"), frozenset({2}))
+        assert step == same and hash(step) == hash(same)
+        assert step != Step(RULE_FEQ, (), before, after, frozenset({3}))
+        assert step != Step(RULE_FEQ, (), before, parse("4/8"), frozenset({2}))
+        assert step != Step(RULE_DIV1, (), before, after, frozenset({2}))
+        assert step != Step(RULE_FEQ, (0,), before, after, frozenset({2}))
+        assert repr(step) == (
+            "Step(rule='FEQ', position=(), "
+            "before=Div(numerator=Numeral(value=1), denominator=Numeral(value=2)), "
+            "after=Div(numerator=Numeral(value=2), denominator=Numeral(value=4)), "
+            "conditions=frozenset({2}))"
+        )
+        for name in ("rule", "position", "before", "after", "conditions", "other"):
+            with pytest.raises(AttributeError):
+                setattr(step, name, None)
+            with pytest.raises(AttributeError):
+                delattr(step, name)
+        assert step == same
+
+    def test_trace_steps_equal_their_hand_built_copies(self):
+        nf = normalize_full(parse("(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)"))
+        for s in nf.trace:
+            assert s == Step(s.rule, s.position, s.before, s.after, s.conditions)

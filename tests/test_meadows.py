@@ -196,6 +196,14 @@ class TestEvaluateContract:
         env = {"x": Fraction(3)}
         assert evaluate(Div(Var("x"), Numeral(2)), Q, env) == Fraction(3, 2)
 
+    @pytest.mark.parametrize("meadow", [Q, C], ids=["q0", "common"])
+    def test_bound_ints_divide_exactly(self, meadow):
+        got = evaluate(parse("x/y"), meadow, {"x": 1, "y": 3})
+        assert type(got) is Fraction and got == Fraction(1, 3)
+        samples = [{"x": 1, "y": 49}]
+        report = check_identity(parse("(x/y)*y"), parse("x"), [parse("y")], meadow, samples)
+        assert (report.valid, report.assignments_checked) == (True, 1)
+
     @pytest.mark.parametrize(
         "meadow, value",
         [
@@ -287,12 +295,19 @@ class TestCheckIdentity:
         assert check_identity(parse("x*x"), parse("x*x"), [], Gfp(1009)).valid
 
     def test_closed_terms_do_not_list_the_field(self, monkeypatch):
-        def no_listing(self):
-            raise AssertionError("the field was listed")
+        # An inverse table of the field would call inv for each of its 2**61 - 2
+        # nonzero residues; this check divides by one residue.
+        calls = []
+        inv = Gfp.inv
 
-        monkeypatch.setattr(Gfp, "elements", no_listing)
+        def counted_inv(self, x):
+            calls.append(x)
+            return inv(self, x)
+
+        monkeypatch.setattr(Gfp, "inv", counted_inv)
         report = check_identity(parse("1/2 + 1/2"), parse("1"), [], Gfp(2**61 - 1))
         assert (report.valid, report.assignments_checked) == (True, 1)
+        assert len(calls) <= 1
 
     def test_report_json_shape(self):
         report = check_identity(parse("x"), parse("x+1"), [], Gfp(2))
