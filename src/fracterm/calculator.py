@@ -11,10 +11,10 @@ complete terms of a derivation are built when one of them is first read.
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
   and sums of fractions are merged in one conditional-addition step
   (``CFAR``).
-* :func:`normalize_safe` refuses unsafe input up front (any fraction whose
-  denominator denotes zero) and then uses only division-safe rules: fraction
-  sums are brought to a common denominator with ``FEQ`` and merged with
-  ``QCR``.
+* :func:`normalize_safe` uses only division-safe rules: fraction sums are
+  brought to a common denominator with ``FEQ`` and merged with ``QCR``.  Its
+  engine meets a zero denominator exactly when the input is unsafe, and only
+  then does :func:`find_unsafe_fraction` run, to name the offender.
 
 Shared structural rules: ``DIV1`` flattens a fraction in numerator position,
 ``DIV2`` one in denominator position, and ``FEQ`` applied right to left
@@ -56,7 +56,6 @@ from .terms import (
     as_signed_numeral,
     children,
     eq_syn,
-    is_closed,
     postorder,
     replace_at,
     signed_numeral,
@@ -268,8 +267,13 @@ def _flat(n: int, l: int) -> Div:
 
 #: Nodes whose position has this many entries or more are not expanded.  The
 #: engine builds each node's position tuple from its parent's, so positions
-#: cost depth squared; no step copies a term.
+#: cost depth squared; no step copies a term.  An unsafe term that is also too
+#: deep is refused as unsafe in safe mode.
 _MAX_DEPTH = 990
+
+
+class _Stop(Exception):
+    """The engine met a zero denominator in safe mode, or ``_MAX_DEPTH``."""
 
 
 class _Engine:
@@ -282,6 +286,8 @@ class _Engine:
     division-free results become ``x/1`` before the next operand is touched.
     Contracta are built from integers, and ``_rewrite`` records each one with
     its position; no whole term is built until a step's terms are read.
+
+    In safe mode ``run`` stops (:class:`_Stop`) at the first zero denominator.
     """
 
     def __init__(self, safe: bool):
@@ -290,19 +296,26 @@ class _Engine:
         self.conditions: set[int] = set()
 
     def _record_values(self, t: Term) -> dict[int, int]:
-        """The value of every division-free subterm of ``t``."""
+        """The value of every division-free subterm of the closed term ``t``."""
         # Keyed by id: the input outlives the pass, so no id is reused.
         values: dict[int, int] = {}
+        zero_denominator = False
         for s in postorder(t):
             cls = type(s)
             if cls is Numeral:
                 values[id(s)] = s.value
+            elif cls is Var:
+                raise EvalError(f"cannot normalize an open term: {to_text(t)}")
             elif cls is Neg:
                 if id(s.arg) in values:
                     values[id(s)] = -values[id(s.arg)]
-            elif cls is not Div and id(s.left) in values and id(s.right) in values:
+            elif cls is Div:
+                zero_denominator |= values.get(id(s.denominator)) == 0
+            elif id(s.left) in values and id(s.right) in values:
                 x, y = values[id(s.left)], values[id(s.right)]
                 values[id(s)] = x + y if cls is Add else x * y
+        if zero_denominator and self.safe:
+            raise _Stop  # a fraction over a division-free zero: stop before any step
         return values
 
     def _rewrite(self, pos: Position, rule: str, new_sub: Term, conds=()) -> None:
@@ -352,7 +365,7 @@ class _Engine:
                 shapes.append(v)
                 continue
             if len(pos) >= _MAX_DEPTH:
-                raise DomainError("the term nests too deeply to normalize")
+                raise _Stop
             stack.append((s, pos, embed, True))
             if cls is Neg:
                 stack.append((s.arg, pos + (0,), False, False))
@@ -383,8 +396,8 @@ class _Engine:
     def _finalize_fraction(self, pos: Position, nv: int, dv: int) -> _Frac:
         """Bring ``Div(nv, dv)`` of signed numerals at ``pos`` to reduced form."""
         if dv == 0:
-            if self.safe:  # pragma: no cover - excluded by the safety precheck
-                raise AssertionError("zero denominator reached in safe mode")
+            if self.safe:  # all below is safe, so each shape is its operand's Q0 value
+                raise _Stop
             self._rewrite(pos, RULE_DBZ, Div(ZERO, ONE))
             return 0, 1
         if dv < 0:
@@ -441,19 +454,19 @@ class _Engine:
 
 
 def _normalize(t: Term, safe: bool) -> NormalForm:
-    if not is_closed(t):
-        raise EvalError(f"cannot normalize an open term: {to_text(t)}")
-    if safe:
-        offender = find_unsafe_fraction(t)
-        if offender is not None:
-            pos, sub = offender
-            raise SafetyError(
-                f"unsafe term: fraction {to_text(sub)} at position {list(pos)} "
-                "has a denominator denoting zero",
-                term=sub,
-                position=pos,
-            )
-    return _Engine(safe).run(t)
+    try:
+        return _Engine(safe).run(t)
+    except _Stop:
+        offender = find_unsafe_fraction(t) if safe else None
+    if offender is not None:
+        pos, sub = offender
+        raise SafetyError(
+            f"unsafe term: fraction {to_text(sub)} at position {list(pos)} "
+            "has a denominator denoting zero",
+            term=sub,
+            position=pos,
+        )
+    raise DomainError("the term nests too deeply to normalize")
 
 
 def normalize_full(t: Term) -> NormalForm:

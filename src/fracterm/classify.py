@@ -4,10 +4,11 @@ A term is a fraction exactly when division is its leading symbol.  Most
 classes below are relative to a backend ``A``: a fraction is *common* when
 its denominator denotes nonzero in ``A``, *safe* when no subterm is an
 uncommon fraction, *simple* when both components are numerals and the
-fraction is common, and so on.  On a closed term the common and safe flags
-come from one evaluation in ``A`` that collects the fractions whose
-denominators denote zero (or ``a``): the term is common when its root is
-not among them and safe when none was collected.  The backend-relative
+fraction is common, and so on.  :func:`classify` walks the term once: the
+closed and flat flags are read off its :func:`postorder` list, and on a
+closed term the same list is evaluated in ``A``, collecting the fractions
+whose denominators denote zero (or ``a``): the term is common when its root
+is not among them and safe when none was collected.  The backend-relative
 flags are reported as ``None`` (indeterminate) for open terms rather than
 quantifying over assignments.
 
@@ -22,19 +23,9 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import DomainError
-from .meadows import Meadow, MeadowValue, denote, evaluate
+from .meadows import Meadow, MeadowValue, _evaluate, denote
 from .syntax import to_text
-from .terms import (
-    Div,
-    Mul,
-    Neg,
-    Numeral,
-    ONE,
-    Term,
-    contains_div,
-    eq_syn,
-    is_closed,
-)
+from .terms import Div, Mul, Neg, Numeral, ONE, Term, Var, eq_syn, postorder
 
 __all__ = [
     "Classification",
@@ -95,16 +86,18 @@ def classify(t: Term, meadow: Meadow) -> Classification:
     fraction = isinstance(t, Div)
     num = t.numerator if fraction else None
     den = t.denominator if fraction else None
-    closed = is_closed(t)
+    nodes = postorder(t)
+    below = set(map(type, nodes[:-1]))  # the root comes last
+    closed = Var not in below and type(t) is not Var
 
-    flat = fraction and not contains_div(num) and not contains_div(den)
+    flat = fraction and Div not in below
     composed = fraction and not flat
 
     common: bool | None
     safe_term: bool | None
     if closed:
         unsafe: list[Div] = []
-        evaluate(t, meadow, unsafe=unsafe)
+        _evaluate(nodes, meadow, {}, unsafe)
         # The root is collected last, after every fraction inside it.
         common = fraction and not (unsafe and unsafe[-1] is t)
         safe_term = not unsafe

@@ -118,7 +118,7 @@ def fp_value(a: Fracpair) -> Fraction:
     return Fraction(a.num, a.den)
 
 
-_PAIR_RE = re.compile(r"^\s*(-?)(\d+)\s*/\s*(-?)(\d+)\s*$")
+_PAIR_RE = re.compile(r"^\s*(-?)(\d+)\s*/\s*(-?)(\d+)\s*$", re.ASCII)
 
 
 def parse_fracpair(text: str) -> Fracpair:

@@ -17,8 +17,8 @@ assignments, on columns of values.
 
 :func:`evaluate` is the one evaluator of all three.  Given an ``unsafe``
 list it also collects every fraction whose denominator denotes zero or
-``a``, which is how the safety precheck and ``classify`` read the paper's
-common and safe classes off the same walk.
+``a``.  ``classify`` reads the paper's common and safe classes off that walk;
+``normalize_safe`` runs it only to name the offender in an unsafe term.
 """
 
 from __future__ import annotations

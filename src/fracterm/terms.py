@@ -43,7 +43,6 @@ __all__ = [
     "subterms",
     "subterm_at",
     "replace_at",
-    "contains_div",
 ]
 
 
@@ -248,8 +247,3 @@ def replace_at(t: Term, pos: Position, new: Term) -> Term:
     for node, kids, i in reversed(_descend(t, pos)[0]):
         new = type(node)(*kids[:i], new, *kids[i + 1 :])
     return new
-
-
-def contains_div(t: Term) -> bool:
-    """True iff a division node occurs anywhere in ``t``."""
-    return any(type(s) is Div for s in postorder(t))

@@ -94,6 +94,10 @@ class TestNormalizeFull:
     def test_open_term_rejected(self):
         with pytest.raises(EvalError):
             normalize_full(Var("x"))
+        # Openness is reported before safety, in both modes.
+        for normalize in (normalize_safe, normalize_full):
+            with pytest.raises(EvalError, match="cannot normalize an open term"):
+                normalize(parse("x + 1/0"))
 
 
 class TestNormalizeSafe:
@@ -128,9 +132,29 @@ class TestNormalizeSafe:
         assert to_text(exc_info.value.term) == "(1/0)"
 
     def test_outermost_unsafe_fraction_reported(self):
-        with pytest.raises(SafetyError) as exc_info:
-            normalize_safe(parse("1/(1/0)"))
-        assert exc_info.value.position == ()
+        # 1/(1/2 - 1/2) reaches its zero denominator through DIV2.
+        for text in ("1/(1/0)", "1/(1/2 - 1/2)", "(1/0)/(2-2)"):
+            with pytest.raises(SafetyError) as exc_info:
+                normalize_safe(parse(text))
+            assert exc_info.value.position == ()
+
+    @pytest.mark.parametrize("text", ["(1/2)*0", "0*(1/2)", "(1/2)+0"])
+    def test_zero_operand_outside_a_denominator(self, text):
+        assert_normal_form(normalize_safe(parse(text)))
+
+    def test_safe_input_needs_no_precheck(self, monkeypatch):
+        def refuse(t):
+            raise AssertionError("find_unsafe_fraction called on safe input")
+
+        monkeypatch.setattr("fracterm.calculator.find_unsafe_fraction", refuse)
+        rng = random.Random(48)
+        checked = 0
+        while checked < 300:
+            t = random_closed_term(rng, 6)
+            if is_safe(t):
+                checked += 1
+                assert_normal_form(normalize_safe(t))
+        assert q0_value(normalize_safe(_harmonic(50)).result) == q0_value(_harmonic(50))
 
     def test_conditions_are_exactly_the_used_numerals(self):
         assert normalize_safe(parse("(2+3)/7")).conditions == {7}
@@ -187,6 +211,11 @@ class TestFindUnsafeFraction:
             assert (got is None) == (expected is None)
             if got is not None:
                 assert got[0] == expected[0] and got[1] is expected[1]
+                # normalize_safe names the same offender.
+                with pytest.raises(SafetyError) as exc_info:
+                    normalize_safe(t)
+                assert exc_info.value.position == got[0]
+                assert exc_info.value.term is got[1]
 
 
 class TestApplyRule:

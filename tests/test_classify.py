@@ -171,26 +171,30 @@ class TestClassificationInvariants:
                 )
 
     def test_one_evaluation_per_closed_term(self, monkeypatch):
+        # One postorder walk per term, and one evaluation of it when closed.
         module = importlib.import_module("fracterm.classify")
-        calls = {"evaluate": 0, "denote": 0}
-        real_evaluate = module.evaluate
+        calls = {}
 
-        def counting_evaluate(*args, **kwargs):
-            calls["evaluate"] += 1
-            return real_evaluate(*args, **kwargs)
+        def counting(name):
+            real = getattr(module, name)
 
-        def counting_denote(*args, **kwargs):
-            calls["denote"] += 1
-            return denote(*args, **kwargs)
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "evaluate", counting_evaluate)
-        monkeypatch.setattr(module, "denote", counting_denote)
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("_evaluate", "postorder", "denote"):
+            counting(name)
         t = ONE
         for _ in range(60):
             t = Div(ONE, Add(ONE, t))
-        c = classify(t, Q)
-        assert c.is_common and c.is_safe_term
-        assert calls == {"evaluate": 1, "denote": 0}
+        for term, closed in ((t, True), (Div(t, Var("x")), False)):
+            calls.update(_evaluate=0, postorder=0, denote=0)
+            c = classify(term, Q)
+            assert c.is_closed is closed and c.is_composed
+            assert (c.is_common, c.is_safe_term) == ((True, True) if closed else (None, None))
+            assert calls == {"_evaluate": int(closed), "postorder": 1, "denote": 0}
 
     def test_json_shape(self):
         obj = classify(parse("4/2"), Q).to_json_obj()

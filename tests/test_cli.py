@@ -187,6 +187,11 @@ class TestFracpairCommand:
     def test_bad_literal_is_parse_error(self, capsys):
         assert run(capsys, "fracpair", "add", "1/2", "nope")[0] == 2
 
+    def test_non_ascii_digits_are_parse_error(self, capsys):
+        code, out, err = run(capsys, "fracpair", "add", "\u0661/\u0662", "1/3")
+        assert (code, out) == (2, "")
+        assert "bad fracpair literal" in err
+
     def test_oversized_literal_is_parse_error(self, capsys):
         code, out, err = run(capsys, "fracpair", "value", "9" * 5000 + "/1")
         assert (code, out) == (2, "")

@@ -19,7 +19,7 @@ from fracterm.calculator import (
 )
 from fracterm.classify import classify
 from fracterm.cli import main
-from fracterm.errors import DomainError, ParseError
+from fracterm.errors import DomainError, ParseError, SafetyError
 from fracterm.meadows import CommonQ, Gfp, Q0, Residue, check_identity, evaluate
 from fracterm.syntax import (
     parse,
@@ -34,7 +34,7 @@ from fracterm.terms import (
     Div,
     Neg,
     ONE,
-    contains_div,
+    ZERO,
     depth,
     eq_syn,
     expand_numeral,
@@ -47,6 +47,7 @@ from fracterm.terms import (
 )
 
 N = 10_000
+UNSAFE = Div(ONE, ZERO)
 
 
 def ones_sum(n):
@@ -63,9 +64,9 @@ def neg_chain(n):
     return t
 
 
-def continued_fraction(d):
-    """``1/(1+1/(1+…))`` with ``d`` fraction bars."""
-    t = ONE
+def continued_fraction(d, leaf=ONE):
+    """``1/(1+1/(1+…))`` with ``d`` fraction bars above ``leaf``."""
+    t = leaf
     for _ in range(d):
         t = Div(ONE, Add(ONE, t))
     return t
@@ -89,7 +90,6 @@ def test_term_walks(deep):
     assert depth(t) == height
     assert free_vars(t) == set()
     assert is_closed(t)
-    assert not contains_div(t)
     assert eq_syn(expand_numeral(t), t)
 
 
@@ -207,6 +207,22 @@ class TestNormalizerDepth:
     def test_cli_exit_code(self, capsys):
         assert main(["normalize", to_text(continued_fraction(496))]) == 4
         assert "nests too deeply to normalize" in capsys.readouterr().err
+        assert main(["normalize", to_text(continued_fraction(496, UNSAFE))]) == 3
+        assert "unsafe term" in capsys.readouterr().err
+
+    def test_safety_beats_depth(self):
+        # In safe mode an unsafe term too deep to normalize is refused as unsafe,
+        # whether its zero denominator is a numeral or only computed below the limit.
+        for leaf in (UNSAFE, parse("1/(1/2 - 1/2)")):
+            t = continued_fraction(496, leaf)
+            with pytest.raises(SafetyError) as exc_info:
+                normalize_safe(t)
+            assert exc_info.value.position == (1, 1) * 496
+            with pytest.raises(DomainError, match="nests too deeply to normalize"):
+                normalize_full(t)
+        with pytest.raises(SafetyError) as exc_info:
+            normalize_safe(Add(UNSAFE, continued_fraction(496)))
+        assert exc_info.value.position == (0,)
 
     def test_limit_ignores_callers_stack(self):
         t = continued_fraction(40)

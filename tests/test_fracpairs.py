@@ -153,7 +153,7 @@ class TestTextAndJson:
         assert parse_fracpair("3/-4") == Fracpair(3, -4)
         assert parse_fracpair(" 12 / 0 ") == Fracpair(12, 0)
 
-    @pytest.mark.parametrize("bad", ["", "3", "3/", "/4", "a/b", "1/2/3", "1.5/2"])
+    @pytest.mark.parametrize("bad", ["", "3", "3/", "/4", "a/b", "1/2/3", "1.5/2", "\u0663/\u0664"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_fracpair(bad)
