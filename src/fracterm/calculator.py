@@ -1,11 +1,12 @@
 """Normalization of closed terms to simplified flat fractions.
 
 Two normalizers share one bottom-up engine on one explicit stack; it refuses
-with :class:`DomainError` to expand a subterm at a position 990 or more entries
-long (``_MAX_DEPTH``).  Every derivation step records the position rewritten,
+with :class:`DomainError` to expand a subterm 990 or more levels below the
+root (``_MAX_DEPTH``).  Every derivation step records the position rewritten,
 the rule applied, the numerals the step assumes nonzero, and the complete term
-before and after.  The engine itself keeps only each step's contractum: the
-complete terms of a derivation are built when one of them is first read.
+before and after.  The engine itself keeps only each step's contractum and a
+link to its parent's position: a step's position and the complete terms of a
+derivation are built when first read.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -36,7 +37,6 @@ derivation in a prime field where some of them vanish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import DomainError, EvalError, MatchError, SafetyError
@@ -53,6 +53,8 @@ from .terms import (
     Term,
     Var,
     ZERO,
+    _Frozen,
+    _Record,
     as_signed_numeral,
     children,
     eq_syn,
@@ -97,20 +99,42 @@ RULE_FEQ = "FEQ"
 RULE_DBZ = "DBZ"
 
 
-@dataclass(frozen=True)
-class Step:
+_NO_CONDITIONS: frozenset[int] = frozenset()
+
+
+class Step(_Frozen):
     """One rewrite: ``before`` becomes ``after`` by ``rule`` at ``position``.
 
-    A step of a normal form's trace is made without ``before`` and ``after``:
-    it holds its derivation's :class:`_Terms` and its index there instead, and
-    :class:`_TraceTerm` reads each term from there on first use.
+    Immutable, and compared, hashed, shown and pickled by those four fields
+    and ``conditions``.  It reads its position and terms from a :class:`_Terms`
+    at its index there: its derivation's, for a step of a normal form's trace,
+    which builds them when first read.
     """
 
-    rule: str
-    position: Position
-    before: Term
-    after: Term
-    conditions: frozenset[int] = frozenset()
+    __slots__ = ("rule", "conditions", "_terms", "_i")
+    _fields = ("rule", "position", "before", "after", "conditions")
+
+    def __init__(
+        self, rule: str, position: Position, before: Term, after: Term, conditions=_NO_CONDITIONS
+    ) -> None:
+        terms = _Terms(before)
+        terms.positions, terms.built = [position], [before, after]
+        _set_rule(self, rule)
+        _set_conditions(self, conditions)
+        _set_terms(self, terms)
+        _set_i(self, 0)
+
+    @property
+    def position(self) -> Position:
+        return self._terms.position(self._i)
+
+    @property
+    def before(self) -> Term:
+        return self._terms[self._i]
+
+    @property
+    def after(self) -> Term:
+        return self._terms[self._i + 1]
 
     def to_json_obj(self) -> dict:
         return self._json_layout(term_to_json_obj)
@@ -126,50 +150,52 @@ class Step:
         }
 
 
-class _TraceTerm:
-    """``Step.before`` or ``Step.after`` of a trace step: its term in ``_Terms``.
+_set_rule, _set_conditions = Step.rule.__set__, Step.conditions.__set__
+_set_terms, _set_i = Step._terms.__set__, Step._i.__set__
 
-    A non-data descriptor, so a term in the step's ``__dict__`` hides it: a
-    hand-built step never calls it, and a trace step calls it once per term.
-    """
-
-    def __init__(self, name: str, offset: int):
-        self.name, self.offset = name, offset
-
-    def __get__(self, step: Step | None, owner: type | None = None) -> Any:
-        if step is None:
-            return self
-        term = step.__dict__[self.name] = step._terms[step._i + self.offset]
-        return term
+#: A position as a linked list: ``(i, parent link)`` for child ``i``, ``None`` at the root.
+_Link = tuple[int, "_Link"] | None
 
 
-# Set after @dataclass, which would take a class attribute for the field's default.
-Step.before = _TraceTerm("before", 0)
-Step.after = _TraceTerm("after", 1)
+def _path(link: _Link) -> Position:
+    """The position ``link`` stands for."""
+    pos: list[int] = []
+    while link is not None:
+        i, link = link
+        pos.append(i)
+    pos.reverse()
+    return tuple(pos)
 
 
 class _Terms:
-    """The whole terms of one derivation: ``root``, then one after each edit.
+    """The positions and whole terms of one derivation: ``root``, then one after each edit.
 
-    An edit is one step's ``(position, contractum)``.  The first read builds
-    every term in one :func:`replace_at` pass over the edits.  Steps point
-    here, and this holds no step, so an unread derivation is freed without
-    the cycle collector.
+    An edit is one step's ``(link, contractum)``.  The first read of a position
+    builds every step's position from its link, and the first read of a term
+    builds every term in one :func:`replace_at` pass over the edits.  Steps
+    point here, and this holds no step, so an unread derivation is freed
+    without the cycle collector.
     """
 
-    __slots__ = ("root", "edits", "built")
+    __slots__ = ("root", "edits", "positions", "built")
 
     def __init__(self, root: Term):
         self.root = root
-        self.edits: list[tuple[Position, Term]] = []
+        self.edits: list[tuple[_Link, Term]] = []
+        self.positions: list[Position] | None = None
         self.built: list[Term] | None = None
+
+    def position(self, i: int) -> Position:
+        if self.positions is None:
+            self.positions = [_path(link) for link, _ in self.edits]
+        return self.positions[i]
 
     def __getitem__(self, i: int) -> Term:
         if self.built is None:
             t = self.root
             self.built = [t]
-            for pos, new in self.edits:
-                t = replace_at(t, pos, new)
+            for k, (_, new) in enumerate(self.edits):
+                t = replace_at(t, self.position(k), new)
                 self.built.append(t)
         return self.built[i]
 
@@ -177,13 +203,14 @@ class _Terms:
 Derivation = list[Step]
 
 
-@dataclass
-class NormalForm:
+class NormalForm(_Record):
     """A simplified flat fraction with its hypotheses and derivation."""
 
-    result: Term
-    conditions: set[int]
-    trace: Derivation = field(default_factory=list)
+    _fields = ("result", "conditions", "trace")
+
+    def __init__(self, result: Term, conditions: set[int], trace: Derivation | None = None):
+        self.result, self.conditions = result, conditions
+        self.trace = [] if trace is None else trace
 
     def to_json_obj(self) -> dict:
         return self._json_layout(term_to_json_obj)
@@ -239,11 +266,7 @@ def find_unsafe_fraction(t: Term) -> tuple[Position, Term] | None:
     while True:
         s, link = stack.pop()
         if id(s) in ids:
-            pos: list[int] = []
-            while link is not None:
-                i, link = link
-                pos.append(i)
-            return tuple(reversed(pos)), s
+            return _path(link), s
         kids = children(s)
         stack += [(kids[i], (i, link)) for i in reversed(range(len(kids)))]
 
@@ -265,10 +288,10 @@ def _flat(n: int, l: int) -> Div:
     return Div(signed_numeral(n), Numeral(l))
 
 
-#: Nodes whose position has this many entries or more are not expanded.  The
-#: engine builds each node's position tuple from its parent's, so positions
-#: cost depth squared; no step copies a term.  An unsafe term that is also too
-#: deep is refused as unsafe in safe mode.
+#: Nodes this many levels or more below the root are not expanded.  The engine
+#: itself needs no such limit, as a frame links to its parent's position and no
+#: step copies a path or a term; it stays until the trace formats have limits of
+#: their own.  An unsafe term that is also too deep is refused as unsafe in safe mode.
 _MAX_DEPTH = 990
 
 
@@ -279,13 +302,14 @@ class _Stop(Exception):
 class _Engine:
     """One innermost rewriting pass over a whole term, on one explicit stack.
 
-    A frame of ``run`` is ``(subterm, position, embed, done)``.  A division-free
+    A frame of ``run`` is ``(subterm, link, depth, embed, done)``, where ``link``
+    is the subterm's position as a :data:`_Link`.  A division-free
     subterm is evaluated on its first visit; any other is pushed again with
     ``done`` set, and then merges the shapes its operands left on ``shapes``.
     ``embed`` marks the root and the operands of ``+`` and ``*``, whose
     division-free results become ``x/1`` before the next operand is touched.
     Contracta are built from integers, and ``_rewrite`` records each one with
-    its position; no whole term is built until a step's terms are read.
+    its link; no position or whole term is built until a step's are read.
 
     In safe mode ``run`` stops (:class:`_Stop`) at the first zero denominator.
     """
@@ -318,15 +342,17 @@ class _Engine:
             raise _Stop  # a fraction over a division-free zero: stop before any step
         return values
 
-    def _rewrite(self, pos: Position, rule: str, new_sub: Term, conds=()) -> None:
-        conds = frozenset(conds)
+    def _rewrite(self, link: _Link, rule: str, new_sub: Term, conds=()) -> None:
         step = object.__new__(Step)
-        step.__dict__.update(
-            rule=rule, position=pos, conditions=conds, _terms=self.terms, _i=len(self.steps)
-        )
+        _set_rule(step, rule)
+        if conds:
+            conds = frozenset(conds)
+            self.conditions |= conds
+        _set_conditions(step, conds or _NO_CONDITIONS)
+        _set_terms(step, self.terms)
+        _set_i(step, len(self.steps))
         self.steps.append(step)
-        self.terms.edits.append((pos, new_sub))
-        self.conditions |= conds
+        self.terms.edits.append((link, new_sub))
 
     # -- canonical shapes -------------------------------------------------
     #
@@ -342,115 +368,116 @@ class _Engine:
         values = self._record_values(t)
         merge = {Div: self._divide, Add: self._merge_sum, Mul: self._merge_product}
         shapes: list[int | _Frac] = []
-        stack: list[tuple[Term, Position, bool, bool]] = [(t, (), True, False)]
+        stack: list[tuple[Term, _Link, int, bool, bool]] = [(t, None, 0, True, False)]
         while stack:
-            s, pos, embed, done = stack.pop()
+            s, link, depth, embed, done = stack.pop()
             cls = type(s)
             if done:
                 if cls is Neg:
                     n, l = shapes[-1]
                     num = Neg(signed_numeral(n))
-                    self._rewrite(pos, RULE_CR_FRAC, Div(num, Numeral(l)))
-                    shapes[-1] = self._canon_pure(pos + (0,), num, -n), l
+                    self._rewrite(link, RULE_CR_FRAC, Div(num, Numeral(l)))
+                    shapes[-1] = self._canon_pure((0, link), num, -n), l
                 else:
                     right = shapes.pop()
-                    shapes[-1] = merge[cls](pos, shapes[-1], right)
+                    shapes[-1] = merge[cls](link, shapes[-1], right)
                 continue
             v = values.get(id(s))
             if v is not None:
-                v = self._canon_pure(pos, s, v)
+                v = self._canon_pure(link, s, v)
                 if embed:
-                    self._rewrite(pos, RULE_CR_EMBED, _flat(v, 1))
+                    self._rewrite(link, RULE_CR_EMBED, _flat(v, 1))
                     v = v, 1
                 shapes.append(v)
                 continue
-            if len(pos) >= _MAX_DEPTH:
+            if depth >= _MAX_DEPTH:
                 raise _Stop
-            stack.append((s, pos, embed, True))
+            stack.append((s, link, depth, embed, True))
+            depth += 1
             if cls is Neg:
-                stack.append((s.arg, pos + (0,), False, False))
+                stack.append((s.arg, (0, link), depth, False, False))
             elif cls is Div:
-                stack.append((s.denominator, pos + (1,), False, False))
-                stack.append((s.numerator, pos + (0,), False, False))
+                stack.append((s.denominator, (1, link), depth, False, False))
+                stack.append((s.numerator, (0, link), depth, False, False))
             else:
-                stack.append((s.right, pos + (1,), True, False))
-                stack.append((s.left, pos + (0,), True, False))
+                stack.append((s.right, (1, link), depth, True, False))
+                stack.append((s.left, (0, link), depth, True, False))
         result = _flat(*shapes[0]) if self.steps else t
         return NormalForm(result, self.conditions, self.steps)
 
-    def _canon_pure(self, pos: Position, t: Term, v: int) -> int:
-        """Rewrite division-free ``t`` at ``pos``, denoting ``v``, to a signed numeral."""
+    def _canon_pure(self, link: _Link, t: Term, v: int) -> int:
+        """Rewrite division-free ``t`` at ``link``, denoting ``v``, to a signed numeral."""
         if as_signed_numeral(t) is None:
-            self._rewrite(pos, RULE_CR_EVAL, signed_numeral(v))
+            self._rewrite(link, RULE_CR_EVAL, signed_numeral(v))
         return v
 
     def _contract(
-        self, pos: Position, rule: str, num: Term, den: Term, nv: int, dv: int, conds=()
+        self, link: _Link, rule: str, num: Term, den: Term, nv: int, dv: int, conds=()
     ) -> _Frac:
         """Rewrite to ``num/den``, evaluate both to ``nv`` and ``dv``, and finalize."""
-        self._rewrite(pos, rule, Div(num, den), conds)
-        self._canon_pure(pos + (0,), num, nv)
-        self._canon_pure(pos + (1,), den, dv)
-        return self._finalize_fraction(pos, nv, dv)
+        self._rewrite(link, rule, Div(num, den), conds)
+        self._canon_pure((0, link), num, nv)
+        self._canon_pure((1, link), den, dv)
+        return self._finalize_fraction(link, nv, dv)
 
-    def _finalize_fraction(self, pos: Position, nv: int, dv: int) -> _Frac:
-        """Bring ``Div(nv, dv)`` of signed numerals at ``pos`` to reduced form."""
+    def _finalize_fraction(self, link: _Link, nv: int, dv: int) -> _Frac:
+        """Bring ``Div(nv, dv)`` of signed numerals at ``link`` to reduced form."""
         if dv == 0:
             if self.safe:  # all below is safe, so each shape is its operand's Q0 value
                 raise _Stop
-            self._rewrite(pos, RULE_DBZ, Div(ZERO, ONE))
+            self._rewrite(link, RULE_DBZ, Div(ZERO, ONE))
             return 0, 1
         if dv < 0:
             num = Neg(signed_numeral(nv))
-            return self._contract(pos, RULE_CR_FRAC, num, Numeral(-dv), -nv, -dv)
+            return self._contract(link, RULE_CR_FRAC, num, Numeral(-dv), -nv, -dv)
         # The calculation relies on this denominator being nonzero; record
         # the witness so the derivation can be re-checked in prime fields.
         self.conditions.add(dv)
         g = math.gcd(nv, dv)
         if g > 1:
             nv, dv = nv // g, dv // g
-            self._rewrite(pos, RULE_FEQ, _flat(nv, dv), conds=(g,))
+            self._rewrite(link, RULE_FEQ, _flat(nv, dv), conds=(g,))
         return nv, dv
 
-    def _merge_sum(self, pos: Position, left: _Frac, right: _Frac) -> _Frac:
+    def _merge_sum(self, link: _Link, left: _Frac, right: _Frac) -> _Frac:
         (n1, l1), (n2, l2) = left, right
         if not self.safe:
             x, y, u, w = signed_numeral(n1), Numeral(l1), signed_numeral(n2), Numeral(l2)
             num, den = Add(Mul(x, w), Mul(y, u)), Mul(y, w)
             nv, dv = n1 * l2 + l1 * n2, l1 * l2
-            return self._contract(pos, RULE_CFAR, num, den, nv, dv, (l1, l2))
+            return self._contract(link, RULE_CFAR, num, den, nv, dv, (l1, l2))
         g = math.gcd(l1, l2)
         m1, m2 = l2 // g, l1 // g
         for i, n, l, mult in ((0, n1, l1, m1), (1, n2, l2, m2)):
             if mult > 1:
-                self._rewrite(pos + (i,), RULE_FEQ, _flat(n * mult, l * mult), (mult,))
+                self._rewrite((i, link), RULE_FEQ, _flat(n * mult, l * mult), (mult,))
         num, den = Add(signed_numeral(n1 * m1), signed_numeral(n2 * m2)), l1 * m1
-        return self._contract(pos, RULE_QCR, num, Numeral(den), n1 * m1 + n2 * m2, den)
+        return self._contract(link, RULE_QCR, num, Numeral(den), n1 * m1 + n2 * m2, den)
 
-    def _merge_product(self, pos: Position, left: _Frac, right: _Frac) -> _Frac:
+    def _merge_product(self, link: _Link, left: _Frac, right: _Frac) -> _Frac:
         (n1, l1), (n2, l2) = left, right
         num = Mul(signed_numeral(n1), signed_numeral(n2))
         den = Mul(Numeral(l1), Numeral(l2))
-        return self._contract(pos, RULE_CR_MUL, num, den, n1 * n2, l1 * l2)
+        return self._contract(link, RULE_CR_MUL, num, den, n1 * n2, l1 * l2)
 
-    def _divide(self, pos: Position, num: int | _Frac, den: int | _Frac) -> _Frac:
+    def _divide(self, link: _Link, num: int | _Frac, den: int | _Frac) -> _Frac:
         if isinstance(num, tuple):
             num, l1 = num
             old_den = _flat(*den) if isinstance(den, tuple) else signed_numeral(den)
             new_den = Mul(Numeral(l1), old_den)
-            self._rewrite(pos, RULE_DIV1, Div(signed_numeral(num), new_den))
+            self._rewrite(link, RULE_DIV1, Div(signed_numeral(num), new_den))
             # Normalize the new denominator ``l1 * den`` as its own subterm.
             if isinstance(den, tuple):
-                self._rewrite(pos + (1, 0), RULE_CR_EMBED, _flat(l1, 1))
-                den = self._merge_product(pos + (1,), (l1, 1), den)
+                self._rewrite((0, (1, link)), RULE_CR_EMBED, _flat(l1, 1))
+                den = self._merge_product((1, link), (l1, 1), den)
             else:
-                den = self._canon_pure(pos + (1,), new_den, l1 * den)
+                den = self._canon_pure((1, link), new_den, l1 * den)
         if isinstance(den, tuple):
             n2, l2 = den
             x, y, z = signed_numeral(num), signed_numeral(n2), Numeral(l2)
             top, bottom = Mul(Mul(x, z), z), Mul(y, z)
-            return self._contract(pos, RULE_DIV2, top, bottom, num * l2 * l2, n2 * l2)
-        return self._finalize_fraction(pos, num, den)
+            return self._contract(link, RULE_DIV2, top, bottom, num * l2 * l2, n2 * l2)
+        return self._finalize_fraction(link, num, den)
 
 
 def _normalize(t: Term, safe: bool) -> NormalForm:
@@ -624,13 +651,13 @@ def _replay_step(step: Step) -> Term:
 # -- normal-form comparison --------------------------------------------------
 
 
-@dataclass
-class EqualityEvidence:
+class EqualityEvidence(_Record):
     """Outcome of comparing two terms through their normal forms."""
 
     equal: bool
     left: NormalForm
     right: NormalForm
+    _fields = tuple(__annotations__)
 
     @property
     def conditions(self) -> set[int]:

@@ -20,12 +20,11 @@ denoted values (``eq_val``).  Each implies the next.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import DomainError
 from .meadows import Meadow, MeadowValue, _evaluate, denote
 from .syntax import to_text
-from .terms import Div, Mul, Neg, Numeral, ONE, Term, Var, eq_syn, postorder
+from .terms import Div, Mul, Neg, Numeral, ONE, Term, Var, _Record, eq_syn, postorder
 
 __all__ = [
     "Classification",
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Classification:
+class Classification(_Record):
     """All class predicates of one term relative to one backend.
 
     Backend-relative flags are ``None`` when the term is open and the flag
@@ -63,9 +61,10 @@ class Classification:
     sign: int
     numerator: Term | None
     denominator: Term | None
+    _fields = tuple(__annotations__)
 
     def to_json_obj(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = dict(zip(self._fields, self._values()))
         for key in ("numerator", "denominator"):
             if out[key] is not None:
                 out[key] = to_text(out[key])

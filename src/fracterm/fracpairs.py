@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError, ParseError
 from .syntax import _decimal, _natural
+from .terms import _Frozen
 
 __all__ = [
     "Fracpair",
@@ -35,13 +35,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Fracpair:
-    num: int
-    den: int
+class Fracpair(_Frozen):
+    __slots__ = _fields = ("num", "den")
+
+    def __init__(self, num: int, den: int) -> None:
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __str__(self) -> str:
         return f"{_decimal(self.num)}/{_decimal(self.den)}"
+
+
+_set_num, _set_den = Fracpair.num.__set__, Fracpair.den.__set__
 
 
 class ZeroMode(Enum):

@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
 from .syntax import _decimal, _dumps
-from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, free_vars, postorder
+from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, _Frozen, _Record, free_vars, postorder
 
 __all__ = [
     "Q0",
@@ -51,12 +50,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Residue:
+class Residue(_Frozen):
     """An element of the prime field GF(p)."""
 
-    value: int
-    modulus: int
+    __slots__ = _fields = ("value", "modulus")
+
+    def __init__(self, value: int, modulus: int) -> None:
+        _set_value(self, value)
+        _set_modulus(self, modulus)
 
     def __add__(self, other: Residue) -> Residue:
         return Residue((self.value + other.value) % self.modulus, self.modulus)
@@ -69,6 +70,9 @@ class Residue:
 
     def __str__(self) -> str:
         return f"{self.value} mod {self.modulus}"
+
+
+_set_value, _set_modulus = Residue.value.__set__, Residue.modulus.__set__
 
 
 class _ErrorElement:
@@ -279,13 +283,13 @@ def format_value(v: MeadowValue) -> str:
     return str(v)
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Record):
     """Outcome of an identity check over one backend."""
 
     status: str  # 'valid' | 'counterexample'
     assignments_checked: int
     counterexample: dict[str, MeadowValue] | None
+    _fields = tuple(__annotations__)
 
     @property
     def valid(self) -> bool:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -40,11 +39,8 @@ __all__ = [
 _MIXED_TAIL = re.compile(r"_([0-9]+)/([0-9]+)")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'nat' | 'mixed' | 'ident' | one of + - * / ( )
-    value: Any
-    column: int
+#: ``(kind, value, column)``; kind is 'nat', 'mixed', 'ident' or one of + - * / ( ).
+_Token = tuple[str, Any, int]
 
 
 def _natural(digits: str, column: int | None = None) -> int:
@@ -87,17 +83,17 @@ def _tokenize(src: str) -> list[_Token]:
                 if m is None:
                     raise ParseError("malformed mixed literal", start)
                 num, den = _natural(m[1], m.start(1)), _natural(m[2], m.start(2))
-                tokens.append(_Token("mixed", (first, num, den), start))
+                tokens.append(("mixed", (first, num, den), start))
                 i = m.end()
             elif i < n and src[i] == ".":
                 raise ParseError("decimal fractions are not supported", i)
             else:
-                tokens.append(_Token("nat", first, start))
+                tokens.append(("nat", first, start))
         elif c.isalpha():
             i = _IDENT.match(src, i).end()
-            tokens.append(_Token("ident", src[start:i], start))
+            tokens.append(("ident", src[start:i], start))
         elif c in "+-*/()":
-            tokens.append(_Token(c, c, start))
+            tokens.append((c, c, start))
             i += 1
         else:
             raise ParseError(f"unexpected character {c!r}", i)
@@ -120,27 +116,27 @@ def parse(src: str) -> Term:
     operands: list[Term] = []
     ops: list[str] = []
     want_operand = True
-    for tok in [*tokens, None]:
+    for kind, value, column in [*tokens, (None, None, None)]:
         if want_operand:
-            if tok is None:
+            if kind is None:
                 raise ParseError("unexpected end of input")
-            if tok.kind == "-" or tok.kind == "(":
-                ops.append("neg" if tok.kind == "-" else "(")
+            if kind == "-" or kind == "(":
+                ops.append("neg" if kind == "-" else "(")
                 continue
-            if tok.kind == "nat":
-                operands.append(Numeral(tok.value))
-            elif tok.kind == "mixed":
-                whole, num, den = tok.value
+            if kind == "nat":
+                operands.append(Numeral(value))
+            elif kind == "mixed":
+                whole, num, den = value
                 operands.append(Add(Numeral(whole), Div(Numeral(num), Numeral(den))))
-            elif tok.kind == "ident":
-                operands.append(Var(tok.value))
+            elif kind == "ident":
+                operands.append(Var(value))
             else:
-                raise ParseError(f"unexpected token {tok.value!r}", tok.column)
+                raise ParseError(f"unexpected token {value!r}", column)
             want_operand = False
             continue
         # After an operand: a binary operator, a closing parenthesis, or the end.
-        binary = tok is not None and tok.kind in _BINARY
-        precedence = _PRECEDENCE[tok.kind] if binary else 1
+        binary = kind in _BINARY
+        precedence = _PRECEDENCE[kind] if binary else 1
         while ops and _PRECEDENCE[ops[-1]] >= precedence:
             op, right = ops.pop(), operands.pop()
             if op == "neg":
@@ -148,14 +144,14 @@ def parse(src: str) -> Term:
             else:  # a - b is sugar for a + (-b)
                 operands[-1] = _BINARY[op](operands[-1], Neg(right) if op == "-" else right)
         if binary:
-            ops.append(tok.kind)
+            ops.append(kind)
             want_operand = True
         elif not ops:  # no parenthesis is open
-            if tok is not None:
-                raise ParseError(f"unexpected trailing token {tok.value!r}", tok.column)
-        elif tok is None or tok.kind != ")":
-            found = repr(tok.value) if tok else "end of input"
-            raise ParseError(f"expected ')', found {found}", tok and tok.column)
+            if kind is not None:
+                raise ParseError(f"unexpected trailing token {value!r}", column)
+        elif kind != ")":
+            found = "end of input" if kind is None else repr(value)
+            raise ParseError(f"expected ')', found {found}", column)
         else:
             ops.pop()
     return operands[0]

@@ -6,15 +6,16 @@ division is the only non-ring operation.  Numerals are primitive leaves so
 that recognizing them is O(1); ``expand_numeral`` recovers the sum-of-units
 reading when it is needed.
 
-Every whole-term walk is a loop over :func:`postorder`, one explicit stack,
-so no traversal here is bounded by the interpreter's recursion limit.
+The six node classes are plain ``__slots__`` classes on one base, whose
+setters raise.  Every whole-term walk is a loop over :func:`postorder`, one
+explicit stack, or over a stack of its own, as ``==``, ``hash`` and ``repr``
+are; so no traversal here is bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import TypeAlias
+from typing import Any, TypeAlias
 
 from .errors import PositionError
 
@@ -46,46 +47,158 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Numeral:
+class _Record:
+    """Fields named by ``_fields``, compared, shown and pickled as a dataclass's are.
+
+    Mutable and unhashable.  A subclass without ``__slots__`` takes its fields
+    positionally or by name through this ``__init__``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        given = len(args) + len(kwargs)
+        kwargs.update(zip(self._fields, args))
+        if given != len(self._fields) or not all(map(kwargs.__contains__, self._fields)):
+            raise TypeError(f"{type(self).__name__}() takes the fields {self._fields}, each once")
+        self.__dict__ = kwargs
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        """``Add(left=Numeral(value=1), right=Var(name='x'))``, on one explicit stack."""
+        out: list[str] = []
+        # Pending records and text, rightmost first, and the id of each open record
+        # once its text is done; a record inside itself shows as "...".
+        stack: list[object] = [self]
+        open_ids: set[int] = set()
+        while stack:
+            s = stack.pop()
+            if type(s) is str:
+                out.append(s)
+                continue
+            if type(s) is int:
+                open_ids.remove(s)
+                continue
+            if id(s) in open_ids:
+                out.append("...")
+                continue
+            open_ids.add(id(s))
+            out.append(type(s).__name__ + "(")
+            stack += (id(s), ")")
+            names, values = s._fields, s._values()
+            for i in reversed(range(len(names))):
+                v = values[i]
+                stack += (v if isinstance(v, _Record) else repr(v), ", " * bool(i) + names[i] + "=")
+        return "".join(out)
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class _Frozen(_Record):
+    """A :class:`_Record` whose attributes cannot change, so it is hashable."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _Node(_Frozen):
+    """The base of the six term classes: immutable, compared and hashed by structure.
+
+    ``==`` is :func:`eq_syn` and ``hash`` one :func:`postorder` fold, so
+    neither is bounded by the recursion limit, and nor is ``repr``.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return eq_syn(self, other)
+
+    def __hash__(self) -> int:
+        vals: list[int] = []
+        for s in postorder(self):
+            if type(s) is Numeral or type(s) is Var:
+                vals.append(hash((type(s), *s._values())))
+            else:  # the hashes of its operands are the last len(_fields) values
+                k = len(s._fields)
+                vals[-k:] = [hash((type(s), *vals[-k:]))]
+        return vals[0]
+
+
+class Numeral(_Node):
     """The canonical term for a natural number (the constants 0 and 1 included)."""
 
-    value: int
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"numerals denote naturals, got {self.value}")
+    def __init__(self, value: int) -> None:
+        if value < 0:
+            raise ValueError(f"numerals denote naturals, got {value}")
+        _set_value(self, value)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Node):
     """A named variable."""
 
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set_name(self, name)
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: Term
-    right: Term
+class Add(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _set_add_left(self, left)
+        _set_add_right(self, right)
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: Term
-    right: Term
+class Mul(_Node):
+    __slots__ = _fields = ("left", "right")
+
+    def __init__(self, left: Term, right: Term) -> None:
+        _set_mul_left(self, left)
+        _set_mul_right(self, right)
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    arg: Term
+class Neg(_Node):
+    __slots__ = _fields = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        _set_arg(self, arg)
 
 
-@dataclass(frozen=True, slots=True)
-class Div:
-    numerator: Term
-    denominator: Term
+class Div(_Node):
+    __slots__ = _fields = ("numerator", "denominator")
 
+    def __init__(self, numerator: Term, denominator: Term) -> None:
+        _set_numerator(self, numerator)
+        _set_denominator(self, denominator)
+
+
+# Each __init__ sets its slots through their member descriptors, past __setattr__.
+_set_value, _set_name, _set_arg = Numeral.value.__set__, Var.name.__set__, Neg.arg.__set__
+_set_add_left, _set_add_right = Add.left.__set__, Add.right.__set__
+_set_mul_left, _set_mul_right = Mul.left.__set__, Mul.right.__set__
+_set_numerator, _set_denominator = Div.numerator.__set__, Div.denominator.__set__
 
 Term: TypeAlias = Numeral | Var | Add | Mul | Neg | Div
 
@@ -182,10 +295,17 @@ def eq_syn(s: Term, t: Term) -> bool:
     while pairs:
         a, b = pairs.pop()
         if a is not b:
-            kids = children(a)
-            if type(a) is not type(b) or (not kids and a != b):
+            cls = type(a)
+            if cls is not type(b):
                 return False
-            pairs.extend(zip(kids, children(b)))
+            if cls is Numeral:
+                if a.value != b.value:
+                    return False
+            elif cls is Var:
+                if a.name != b.name:
+                    return False
+            else:
+                pairs += zip(children(a), children(b))
     return True
 
 

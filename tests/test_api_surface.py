@@ -1,6 +1,9 @@
 """The package's public names are part of its interface."""
 
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import fracterm
 
@@ -79,3 +82,17 @@ def test_public_names_are_pinned():
         and not isinstance(getattr(fracterm, name), types.ModuleType)
     )
     assert public == PUBLIC_NAMES
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # Compared with the modules loaded before the import, so that a site hook
+    # that loads dataclasses itself does not count.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import fracterm.cli; print(sorted({'dataclasses'} & (set(sys.modules) - before)))"
+    )
+    package_root = str(Path(fracterm.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", code, package_root], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

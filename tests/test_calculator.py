@@ -1,9 +1,11 @@
 """Normalizer, single-step rewriting, and derivation-trace tests."""
 
+import copy
 import gc
 import hashlib
 import json
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -30,7 +32,8 @@ from fracterm.calculator import (
 )
 from fracterm.classify import classify
 from fracterm.errors import DomainError, EvalError, MatchError, SafetyError
-from fracterm.meadows import Gfp, Q0, denote, evaluate
+from fracterm.fracpairs import Fracpair
+from fracterm.meadows import Gfp, Q0, Residue, denote, evaluate
 from fracterm.syntax import parse, term_to_json, term_to_json_obj, to_text
 from fracterm.terms import (
     Add,
@@ -574,3 +577,50 @@ class TestLocalSteps:
         nf = normalize_full(parse("(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)"))
         for s in nf.trace:
             assert s == Step(s.rule, s.position, s.before, s.after, s.conditions)
+
+    def test_positions_cost_linear_memory(self):
+        # Each frame links to its parent's position, so an unread derivation
+        # holds no position tuple and grows about linearly with depth; a
+        # tuple per step would make it grow with depth squared.
+        def retained(depth):
+            t = _continued_fraction(depth)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                nf = normalize_safe(t)
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        assert retained(400) < 2.5 * retained(200)
+
+
+def _normal_form_with_reads(text, reads):
+    nf = normalize_safe(parse(text))
+    for i in reads:
+        nf.trace[i].after
+    return nf
+
+
+# Each makes a fresh object, so an unread trace step is still unread when copied.
+COPIED = {
+    "term": lambda: parse("(1/2)/(3/4) + x*(-5)"),
+    "hand_built_step": lambda: Step(RULE_FEQ, (0,), parse("1/2"), parse("2/4"), frozenset({2})),
+    "unread_step": lambda: _normal_form_with_reads("1/2 + 1/3", []).trace[1],
+    "read_step": lambda: _normal_form_with_reads("1/2 + 1/3", [1]).trace[1],
+    "normal_form": lambda: _normal_form_with_reads("(1/2)/(2/3) + 1", []),
+    "residue": lambda: Residue(3, 7),
+    "fracpair": lambda: Fracpair(-1, 0),
+}
+
+
+@pytest.mark.parametrize("make", COPIED.values(), ids=COPIED.keys())
+@pytest.mark.parametrize(
+    "copier", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_pickle_and_copy_round_trip(make, copier):
+    obj, reference = make(), make()
+    twin = copier(obj)
+    assert type(twin) is type(obj)
+    assert twin == reference and repr(twin) == repr(reference)

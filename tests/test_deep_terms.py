@@ -93,6 +93,19 @@ def test_term_walks(deep):
     assert eq_syn(expand_numeral(t), t)
 
 
+@pytest.mark.parametrize(
+    "name, head, tail",
+    [("sum", "Add(left=", ", right=Numeral(value=1))"), ("chain", "Neg(arg=", ")")],
+    ids=["sum", "chain"],
+)
+def test_eq_hash_repr(name, head, tail):
+    t, _, _, height = DEEP[name]
+    twin = parse(to_text(t))
+    assert twin is not t and twin == t and hash(twin) == hash(t)
+    assert t != Neg(t) and t != Add(t, ONE)
+    assert repr(t) == head * height + "Numeral(value=1)" + tail * height
+
+
 def test_subterms_in_preorder():
     # A position per node makes the output Θ(depth²) entries, so this runs
     # at twice the recursion limit rather than at N.
