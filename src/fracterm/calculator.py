@@ -40,7 +40,7 @@ import math
 from typing import Any, Callable
 
 from .errors import DomainError, EvalError, MatchError, SafetyError
-from .meadows import Q0, _evaluate, evaluate
+from .meadows import Q0, _pair, evaluate
 from .syntax import _dumps, term_to_json_obj, to_text
 from .terms import (
     Add,
@@ -232,17 +232,11 @@ def _same_term(t: Term) -> Term:
     return t
 
 
-class _Integers:
-    """The ring of integers as an evaluation backend, for division-free terms."""
-
-    from_int = int
-
-
 def _ring_value(t: Term) -> int:
-    """Integer value of a division-free closed term."""
+    """Integer value of a division-free closed term: the numerator of its ``Q0`` pair."""
     nodes = postorder(t)
     if {Div, Var}.isdisjoint(map(type, nodes)):
-        return _evaluate(nodes, _Integers(), {})
+        return _pair(nodes, Q0(), {})[0]
     stack = [t]  # name the outermost offender, the first one in preorder
     while type(stack[-1]) not in (Div, Var):
         stack += reversed(children(stack.pop()))

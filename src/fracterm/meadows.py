@@ -11,14 +11,19 @@ Three carriers interpret the divisive signature totally:
 Each value carries its ring arithmetic (``a`` absorbs every operation);
 each backend supplies numerals, division and the zero test, and ``Q0`` and
 ``CommonQ`` differ only in the value of ``x/0``.
-Identity checking is exhaustive on ``Gfp`` and sample-driven on the two
-infinite carriers; either way it runs :func:`_evaluate` once per block of
-assignments, on columns of values.
 
-:func:`evaluate` is the one evaluator of all three.  Given an ``unsafe``
-list it also collects every fraction whose denominator denotes zero or
-``a``.  ``classify`` reads the paper's common and safe classes off that walk;
-``normalize_safe`` runs it only to name the offender in an unsafe term.
+:func:`evaluate` is the one evaluator of all three.  It computes on
+unreduced integer pairs ``(n, d)``, read ``n/d``, and builds one value from
+the root's pair: ``x/0`` is ``(0, 1)``, except in ``CommonQ``, where it is
+``(0, 0)``; ``a`` is that zero denominator, which every operation keeps.
+Given an ``unsafe`` list it also collects every fraction whose denominator
+has ``n == 0``, that is denotes zero or ``a``.  ``classify`` reads the
+paper's common and safe classes off that walk; ``normalize_safe`` runs it
+only to name the offender in an unsafe term.
+
+Identity checking is exhaustive on ``Gfp`` and sample-driven on the two
+infinite carriers; either way it evaluates each term once per block of
+assignments, on columns of values that do their own arithmetic.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping, TypeAlias
+from typing import Iterable, Iterator, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
 from .syntax import _decimal, _dumps
@@ -219,7 +224,8 @@ def evaluate(
     or the error element ``a`` is appended to it, inner fractions before the
     fractions that contain them.  The numerator is evaluated before the
     denominator, so an unbound variable is reported left to right.  A bound
-    value outside the backend's carrier raises :class:`EvalError`.
+    value outside the backend's carrier raises :class:`EvalError`.  The
+    arithmetic runs on integer pairs, reduced once at the root: see :func:`_pair`.
     """
     return _evaluate(postorder(t), meadow, _checked(assignment or {}, meadow), unsafe)
 
@@ -236,23 +242,91 @@ def _checked(env: Assignment, meadow: Meadow) -> Assignment:
     return {name: Fraction(v) if isinstance(v, int) else v for name, v in env.items()}
 
 
-def _evaluate(nodes: list[Term], meadow: Any, env: Mapping, unsafe: list[Div] | None = None) -> Any:
-    """:func:`evaluate` over a term's :func:`postorder` node list.
+def _evaluate(
+    nodes: list[Term], meadow: Meadow, env: Assignment, unsafe: list[Div] | None = None
+) -> MeadowValue:
+    """:func:`evaluate` over a term's :func:`postorder` node list and a checked ``env``.
 
-    ``meadow`` is any backend with ``from_int`` and ``div`` (and ``is_zero``
-    when ``unsafe`` is a list) whose values do ``+``, ``*`` and unary ``-``:
-    a meadow, a block of assignments to one, or the integers.
+    Bound values become pairs on entry, the walk is :func:`_pair`, and the
+    root's pair becomes one ``Fraction``, ``Residue`` or ``a``: no value is
+    built per node.
     """
-    vals: list = []
+    pairs = {name: _as_pair(v) for name, v in env.items()}
+    n, d = _pair(nodes, meadow, pairs, unsafe)
+    if isinstance(meadow, Gfp):
+        return Residue(n * pow(d, -1, meadow.p) % meadow.p, meadow.p)
+    return ERROR if d == 0 else Fraction(n, d)
+
+
+def _as_pair(v: MeadowValue) -> tuple[int, int]:
+    if v is ERROR:
+        return 0, 0
+    if isinstance(v, Residue):
+        return v.value, 1
+    return v.numerator, v.denominator
+
+
+def _pair(
+    nodes: list[Term],
+    meadow: Meadow,
+    env: Mapping[str, tuple[int, int]],
+    unsafe: list[Div] | None = None,
+) -> tuple[int, int]:
+    """The value of a node list as an unreduced integer pair ``(n, d)``, read ``n/d``.
+
+    ``+``, ``*`` and ``/`` act on pairs as on fractions, with no ``gcd``, so the
+    root's pair is reduced once, by whoever reads it (Knuth, TAOCP 4.5.1).  A
+    divisor with ``n == 0`` is zero or ``a``: its quotient is ``(0, 1)``, and
+    ``(0, 0)`` in ``CommonQ``.  That zero denominator is ``a``, which every
+    operation keeps, since a product with 0 is 0.  In ``GF(p)`` both
+    components are reduced modulo ``p`` (a numerator may be negated past it),
+    and ``d`` is never zero there.
+    """
+    p = meadow.p if isinstance(meadow, Gfp) else 0
+    over_zero = (0, 0) if isinstance(meadow, CommonQ) else (0, 1)
+    vals: list[tuple[int, int]] = []
     for s in nodes:
         cls = type(s)
         if cls is Numeral:
-            vals.append(meadow.from_int(s.value))
+            vals.append((s.value % p if p else s.value, 1))
         elif cls is Var:
             try:
                 vals.append(env[s.name])
             except KeyError:
                 raise EvalError(f"unbound variable {s.name!r}") from None
+        elif cls is Neg:
+            n, d = vals[-1]
+            vals[-1] = -n, d
+        else:
+            n2, d2 = vals.pop()
+            n1, d1 = vals[-1]
+            if cls is Add:
+                n, d = n1 * d2 + n2 * d1, d1 * d2
+            elif cls is Mul:
+                n, d = n1 * n2, d1 * d2
+            elif n2:
+                n, d = n1 * d2, d1 * n2
+            else:
+                if unsafe is not None:
+                    unsafe.append(s)
+                n, d = over_zero
+            vals[-1] = (n % p, d % p) if p else (n, d)
+    return vals[0]
+
+
+def _evaluate_block(nodes: list[Term], block: _FieldBlock | _SampleBlock) -> _Column:
+    """The column of a node list's values under every assignment of ``block``.
+
+    The block supplies ``from_int``, ``div`` and the variables' columns, which
+    do ``+``, ``*`` and unary ``-`` elementwise.
+    """
+    vals: list[_Column] = []
+    for s in nodes:
+        cls = type(s)
+        if cls is Numeral:
+            vals.append(block.from_int(s.value))
+        elif cls is Var:
+            vals.append(block.env[s.name])
         elif cls is Neg:
             vals[-1] = -vals[-1]
         else:
@@ -262,9 +336,7 @@ def _evaluate(nodes: list[Term], meadow: Any, env: Mapping, unsafe: list[Div] | 
             elif cls is Mul:
                 vals[-1] = vals[-1] * y
             else:
-                if unsafe is not None and (y is ERROR or meadow.is_zero(y)):
-                    unsafe.append(s)
-                vals[-1] = meadow.div(vals[-1], y)
+                vals[-1] = block.div(vals[-1], y)
     return vals[0]
 
 
@@ -353,11 +425,11 @@ def check_identity(
 
     checked = 0
     for block in blocks:
-        left, right = _evaluate(lhs, block, block.env), _evaluate(rhs, block, block.env)
+        left, right = _evaluate_block(lhs, block), _evaluate_block(rhs, block)
         if left.values != right.values:
             fails = map(operator.ne, left.values, right.values)
             for c in conditions:  # an assignment that zeroes a condition is excluded
-                col = _evaluate(c, block, block.env).values
+                col = _evaluate_block(c, block).values
                 fails = map(operator.and_, fails, map(operator.ne, col, itertools.repeat(0)))
             i = next(itertools.compress(itertools.count(), fails), None)
             if i is not None:

@@ -97,11 +97,22 @@ class _Record:
             names, values = s._fields, s._values()
             for i in reversed(range(len(names))):
                 v = values[i]
-                stack += (v if isinstance(v, _Record) else repr(v), ", " * bool(i) + names[i] + "=")
+                text = v if isinstance(v, _Record) else _leaf_repr(v)
+                stack += (text, ", " * bool(i) + names[i] + "=")
         return "".join(out)
 
     def __reduce__(self) -> tuple:
         return type(self), self._values()
+
+
+def _leaf_repr(v: object) -> str:
+    """``repr(v)``, or its bit length for an int past Python's int/str limit."""
+    try:
+        return repr(v)
+    except ValueError:
+        if not isinstance(v, int):
+            raise
+        return f"{'-' * (v < 0)}<int of {v.bit_length()} bits>"
 
 
 class _Frozen(_Record):
@@ -122,10 +133,19 @@ class _Node(_Frozen):
     """The base of the six term classes: immutable, compared and hashed by structure.
 
     ``==`` is :func:`eq_syn` and ``hash`` one :func:`postorder` fold, so
-    neither is bounded by the recursion limit, and nor is ``repr``.
+    neither is bounded by the recursion limit, and nor are ``repr``, ``pickle``
+    and ``copy``.
     """
 
     __slots__ = ()
+
+    def __reduce__(self) -> tuple:
+        """Pickle and copy as one flat :func:`postorder` list: leaf values and operator classes."""
+        items: list = []
+        for s in postorder(self):
+            cls = type(s)
+            items.append(s.value if cls is Numeral else s.name if cls is Var else cls)
+        return _from_postorder, (items,)
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -201,6 +221,23 @@ _set_mul_left, _set_mul_right = Mul.left.__set__, Mul.right.__set__
 _set_numerator, _set_denominator = Div.numerator.__set__, Div.denominator.__set__
 
 Term: TypeAlias = Numeral | Var | Add | Mul | Neg | Div
+
+
+def _from_postorder(items: list) -> Term:
+    """The term that :meth:`_Node.__reduce__` encoded as ``items``, on one explicit stack."""
+    vals: list[Term] = []
+    for x in items:
+        if x is Neg:
+            vals[-1] = Neg(vals[-1])
+        elif x is Add or x is Mul or x is Div:
+            right = vals.pop()
+            vals[-1] = x(vals[-1], right)
+        elif type(x) is str:
+            vals.append(Var(x))
+        else:
+            vals.append(Numeral(x))
+    return vals[0]
+
 
 #: A path of 0-based child indices from the root of a term.
 Position: TypeAlias = tuple[int, ...]

@@ -6,6 +6,8 @@ left-nested sum of n ones denotes n, and n minus signs around 1 denote
 (-1)**n.
 """
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -124,6 +126,17 @@ def test_text_round_trip(deep):
 def test_json_obj_round_trip(deep):
     t = deep[0]
     assert eq_syn(term_from_json_obj(term_to_json_obj(t)), t)
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy],
+    ids=["pickle", "deepcopy", "copy"],
+)
+def test_pickle_and_copy_round_trip(deep, copier):
+    t = deep[0]
+    twin = copier(t)
+    assert twin is not t and eq_syn(twin, t)
 
 
 def test_nested_parentheses():

@@ -25,9 +25,9 @@ from fracterm.meadows import (
     meadow_from_name,
 )
 from fracterm.syntax import parse
-from fracterm.terms import Add, Div, Mul, Numeral, Var, free_vars
+from fracterm.terms import Add, Div, Mul, Neg, Numeral, Var, free_vars, postorder
 
-from termgen import open_term, random_closed_term
+from termgen import open_term, random_closed_term, random_unsafe_biased_term
 
 Q = Q0()
 C = CommonQ()
@@ -235,6 +235,80 @@ class TestEvaluateContract:
             t = random_closed_term(rng, 5)
             for m in backends:
                 evaluate(t, m)  # must not raise
+
+
+def _value_fold(t, meadow, env, unsafe):
+    """``evaluate`` as one ``Fraction``, ``Residue`` or ``a`` per node, the reference."""
+    field = isinstance(meadow, Gfp)
+    over_zero = Residue(0, meadow.p) if field else ERROR if meadow is C else Fraction(0)
+    vals = []
+    for s in postorder(t):
+        if isinstance(s, Numeral):
+            vals.append(Residue(s.value % meadow.p, meadow.p) if field else Fraction(s.value))
+        elif isinstance(s, Var):
+            vals.append(env[s.name])
+        elif isinstance(s, Neg):
+            vals[-1] = -vals[-1]
+        else:
+            y = vals.pop()
+            if isinstance(s, Add):
+                vals[-1] = vals[-1] + y
+            elif isinstance(s, Mul):
+                vals[-1] = vals[-1] * y
+            elif y is ERROR or (y.value if field else y) == 0:
+                unsafe.append(s)
+                vals[-1] = over_zero
+            elif field:
+                vals[-1] = vals[-1] * Residue(pow(y.value, -1, meadow.p), meadow.p)
+            else:
+                vals[-1] = vals[-1] / y
+    return vals[0]
+
+
+PAIR_MEADOWS = [Q, C, Gfp(2), Gfp(3), Gfp(7), Gfp(2**61 - 1)]
+
+
+def _random_value(rng, meadow):
+    if isinstance(meadow, Gfp):
+        return Residue(rng.choice([0, 1, rng.randrange(meadow.p)]), meadow.p)
+    values = [0, Fraction(0), rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))]
+    return rng.choice(values + [ERROR] * (meadow is C))
+
+
+class TestPairEvaluation:
+    """The integer-pair evaluator against a fold that builds a value at every node."""
+
+    @pytest.mark.parametrize("meadow", PAIR_MEADOWS, ids=lambda m: m.name)
+    def test_matches_the_value_fold(self, meadow):
+        rng = random.Random(14)
+        for i in range(300):
+            make = random_closed_term if i % 2 else random_unsafe_biased_term
+            closed = make(rng, 6, 12 if i % 3 else 10**20)
+            env = {name: _random_value(rng, meadow) for name in "xyz"}
+            exact = {k: Fraction(v) if type(v) is int else v for k, v in env.items()}
+            for t in (closed, open_term(rng, closed)):
+                want_unsafe, got_unsafe = [], []
+                want = _value_fold(t, meadow, exact, want_unsafe)
+                got = evaluate(t, meadow, env, unsafe=got_unsafe)
+                assert type(got) is type(want) and got == want, (t, env)
+                assert list(map(id, got_unsafe)) == list(map(id, want_unsafe)), (t, env)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("+".join(["1/2"] * 2000), Fraction(1000)),
+            ("*".join(f"{k + 1}/{k}" for k in range(1, 2001)), Fraction(2001)),
+        ],
+        ids=["halves-2000", "telescoping-2000"],
+    )
+    def test_unreduced_pairs_stay_fast(self, text, value):
+        # The pairs grow unreduced to thousands of digits and are reduced once.
+        t = parse(text)
+        start = time.perf_counter()
+        assert denote(t, Q) == value and denote(t, C) == value
+        p = 2**61 - 1  # above every denominator, so no division is by zero
+        assert denote(t, Gfp(p)) == Residue(value.numerator, p)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestCheckIdentity:

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fracterm.calculator import apply_rule
+from fracterm.calculator import apply_rule, normalize_safe
 from fracterm.errors import PositionError
+from fracterm.fracpairs import Fracpair
 from fracterm.meadows import CommonQ, Gfp, Q0, denote
 from fracterm.syntax import parse
 from fracterm.terms import (
@@ -69,6 +70,15 @@ class TestConstruction:
         assert as_signed_numeral(Neg(Numeral(4))) == -4
         assert as_signed_numeral(Neg(Numeral(0))) is None  # not canonical
         assert as_signed_numeral(Add(Numeral(1), Numeral(1))) is None
+
+    def test_repr_past_the_digit_limit(self):
+        # An int too long for str() shows its bit length; shorter ones show their digits.
+        n = (10**4000 - 1) ** 2
+        summary = f"<int of {n.bit_length()} bits>"
+        result = normalize_safe(parse("9" * 4000 + "*" + "9" * 4000)).result
+        assert repr(result) == f"Div(numerator=Numeral(value={summary}), denominator=Numeral(value=1))"
+        assert repr(Fracpair(-n, 1)) == f"Fracpair(num=-{summary}, den=1)"
+        assert repr(Numeral(10**4299)) == f"Numeral(value={10**4299})"
 
 
 class TestExpandNumeral:
