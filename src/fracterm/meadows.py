@@ -9,8 +9,8 @@ Three carriers interpret the divisive signature totally:
 
 ``Q0`` and ``Gfp`` are involutive (``1/(1/x) = x``); ``CommonQ`` is not.
 Each value carries its ring arithmetic (``a`` absorbs every operation);
-each backend supplies numerals, division and the zero test, and ``Q0`` and
-``CommonQ`` differ only in the value of ``x/0``.
+each backend supplies numerals, the zero test and its carrier, and ``Q0``
+and ``CommonQ`` differ only in the value of ``x/0``.
 
 :func:`evaluate` is the one evaluator of all three.  It computes on
 unreduced integer pairs ``(n, d)``, read ``n/d``, and builds one value from
@@ -21,9 +21,10 @@ has ``n == 0``, that is denotes zero or ``a``.  ``classify`` reads the
 paper's common and safe classes off that walk; ``normalize_safe`` runs it
 only to name the offender in an unsafe term.
 
-Identity checking is exhaustive on ``Gfp`` and sample-driven on the two
-infinite carriers; either way it evaluates each term once per block of
-assignments, on columns of values that do their own arithmetic.
+Identity checking is sample-driven on the two infinite carriers, one
+sample at a time through the same pair loop, and exhaustive on ``Gfp``,
+where each term is evaluated once per block of assignments, on plain
+lists of residues.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, TypeAlias
+from typing import Iterable, Mapping, TypeAlias
 
 from .errors import DomainError, EvalError
 from .syntax import _decimal, _dumps
@@ -139,9 +140,6 @@ class _Rationals:
     def from_int(self, n: int) -> Fraction:
         return Fraction(n)
 
-    def div(self, x: MeadowValue, y: MeadowValue) -> MeadowValue:
-        return self._over_zero if y == 0 else x / y
-
     def is_zero(self, v: MeadowValue) -> bool:
         return v == 0
 
@@ -186,9 +184,6 @@ class Gfp:
         # 0**0 == 1 in Python, so the zero case needs a guard (matters for p == 2).
         v = pow(x.value, self.p - 2, self.p) if x.value else 0
         return Residue(v, self.p)
-
-    def div(self, x: Residue, y: Residue) -> Residue:
-        return x * self.inv(y)
 
     def is_zero(self, v: MeadowValue) -> bool:
         return isinstance(v, Residue) and v.value == 0
@@ -314,32 +309,6 @@ def _pair(
     return vals[0]
 
 
-def _evaluate_block(nodes: list[Term], block: _FieldBlock | _SampleBlock) -> _Column:
-    """The column of a node list's values under every assignment of ``block``.
-
-    The block supplies ``from_int``, ``div`` and the variables' columns, which
-    do ``+``, ``*`` and unary ``-`` elementwise.
-    """
-    vals: list[_Column] = []
-    for s in nodes:
-        cls = type(s)
-        if cls is Numeral:
-            vals.append(block.from_int(s.value))
-        elif cls is Var:
-            vals.append(block.env[s.name])
-        elif cls is Neg:
-            vals[-1] = -vals[-1]
-        else:
-            y = vals.pop()
-            if cls is Add:
-                vals[-1] = vals[-1] + y
-            elif cls is Mul:
-                vals[-1] = vals[-1] * y
-            else:
-                vals[-1] = block.div(vals[-1], y)
-    return vals[0]
-
-
 def denote(t: Term, meadow: Meadow) -> MeadowValue:
     """The value a closed term denotes; open terms are rejected."""
     try:
@@ -390,172 +359,110 @@ def check_identity(
 ) -> CheckReport:
     """Check ``lhs = rhs`` under ``conditions`` (each a term asserted nonzero).
 
-    On ``Gfp`` every assignment to the free variables is enumerated;
-    ``assignments_checked`` counts all of them, including those the
-    conditions exclude.  More than ``_MAX_ASSIGNMENTS`` of them raise
-    ``DomainError``.  On the infinite backends a list of sample
+    On ``Gfp`` every assignment to the free variables is enumerated, in
+    ``itertools.product`` order; ``assignments_checked`` counts all of them,
+    including those the conditions exclude.  More than ``_MAX_ASSIGNMENTS``
+    of them raise ``DomainError``.  On the infinite backends a list of sample
     assignments must be supplied.
 
-    Assignments are checked a block at a time: each term goes through
-    :func:`_evaluate` once per block, on columns that hold its values under
-    every assignment of the block.  A counterexample is the first failing
-    assignment in ``itertools.product`` order on ``Gfp`` and in sample order
-    otherwise; every sample in its block must bind every variable.
+    Samples are read one at a time and each goes through :func:`_evaluate`;
+    the check stops at the first counterexample, so only the samples up to
+    it must bind every variable to a value of the backend.  A condition
+    excludes an assignment where it equals zero (``a`` is not zero).
     """
     lhs, rhs = postorder(lhs), postorder(rhs)
     conditions = [postorder(c) for c in conditions]
     names = sorted(
         {s.name for nodes in (lhs, rhs, *conditions) for s in nodes if type(s) is Var}
     )
-
-    blocks: Iterator[_FieldBlock | _SampleBlock]
     if isinstance(meadow, Gfp):
-        if meadow.p ** len(names) > _MAX_ASSIGNMENTS:
-            raise DomainError(
-                f"exhaustive check over {meadow.name} needs {meadow.p}**{len(names)}"
-                f" assignments; the limit is {_MAX_ASSIGNMENTS} assignments"
-            )
-        blocks = _field_blocks(meadow, names)
-    else:
-        if samples is None:
-            raise DomainError(
-                f"backend {meadow.name!r} is infinite; supply sample assignments"
-            )
-        blocks = _sample_blocks(meadow, samples, names)
-
+        return _check_field(lhs, rhs, conditions, meadow, names)
+    if samples is None:
+        raise DomainError(f"backend {meadow.name!r} is infinite; supply sample assignments")
     checked = 0
-    for block in blocks:
-        left, right = _evaluate_block(lhs, block), _evaluate_block(rhs, block)
-        if left.values != right.values:
-            fails = map(operator.ne, left.values, right.values)
-            for c in conditions:  # an assignment that zeroes a condition is excluded
-                col = _evaluate_block(c, block).values
-                fails = map(operator.and_, fails, map(operator.ne, col, itertools.repeat(0)))
-            i = next(itertools.compress(itertools.count(), fails), None)
-            if i is not None:
-                return CheckReport("counterexample", checked + i + 1, block.assignment(i))
-        checked += block.size
+    for env in samples:
+        env = _checked(env, meadow)
+        for name in names:
+            if name not in env:
+                raise EvalError(f"unbound variable {name!r}")
+        checked += 1
+        if _evaluate(lhs, meadow, env) != _evaluate(rhs, meadow, env) and all(
+            _evaluate(c, meadow, env) != 0 for c in conditions
+        ):
+            return CheckReport("counterexample", checked, env)
     return CheckReport("valid", checked, None)
 
 
-# Block sizes grow from _FIRST_BLOCK by a factor of 4 up to _MAX_BLOCK, so an
-# early counterexample costs little and no column outgrows _MAX_BLOCK values.
+# Exhaustive checks run on blocks of assignments whose sizes grow from
+# _FIRST_BLOCK by a factor of 4 up to _MAX_BLOCK, so an early counterexample
+# costs little and no list of residues outgrows _MAX_BLOCK.
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 4096
 
 
-def _block_sizes() -> Iterator[int]:
-    n = _FIRST_BLOCK
-    while True:
-        yield n
-        n = min(4 * n, _MAX_BLOCK)
+def _check_field(
+    lhs: list[Term], rhs: list[Term], conditions: list[list[Term]], field: Gfp, names: list[str]
+) -> CheckReport:
+    """:func:`check_identity` over every assignment of ``names`` in ``field``.
 
-
-class _Column:
-    """The values of one term node under every assignment of a block.
-
-    ``+``, ``*`` and unary ``-`` act elementwise.  A GF(p) column holds plain
-    ints reduced modulo ``modulus``; a rational column (``modulus`` None) holds
-    ``Fraction`` and ``a``.  On both, an element is zero exactly when it ``== 0``.
+    Assignment ``i`` binds the ``j``-th name to digit ``j`` of ``i`` in base
+    ``p``, most significant first, which is ``itertools.product`` order.  Each
+    side and condition is evaluated once per block, on lists of residues.
     """
+    p, k = field.p, len(names)
+    total = p**k
+    if total > _MAX_ASSIGNMENTS:
+        raise DomainError(
+            f"exhaustive check over {field.name} needs {p}**{k}"
+            f" assignments; the limit is {_MAX_ASSIGNMENTS} assignments"
+        )
+    weights = [p ** (k - 1 - j) for j in range(k)]
+    inverses: dict[int, int] = {}  # the residues divided by so far, not the field
+    start, size = 0, _FIRST_BLOCK
+    while start < total:
+        rows = range(start, min(start + size, total))
+        env = {name: [i // w % p for i in rows] for name, w in zip(names, weights)}
+        left = _residues(lhs, field, env, len(rows), inverses)
+        right = _residues(rhs, field, env, len(rows), inverses)
+        if left != right:
+            conds = [_residues(c, field, env, len(rows), inverses) for c in conditions]
+            for i in itertools.compress(itertools.count(), map(operator.ne, left, right)):
+                if all(col[i] for col in conds):  # a zero condition excludes the assignment
+                    ce = {name: Residue(col[i], p) for name, col in env.items()}
+                    return CheckReport("counterexample", start + i + 1, ce)
+        start, size = rows.stop, min(4 * size, _MAX_BLOCK)
+    return CheckReport("valid", total, None)
 
-    __slots__ = ("values", "modulus")
 
-    def __init__(self, values: list, modulus: int | None):
-        self.values = values
-        self.modulus = modulus
+def _residues(
+    nodes: list[Term], field: Gfp, env: Mapping[str, list[int]], size: int, inverses: dict[int, int]
+) -> list[int]:
+    """The residues of a node list under ``size`` assignments, one list per node.
 
-    def __add__(self, other: _Column) -> _Column:
-        p = self.modulus
-        if p is None:
-            return _Column([a + b for a, b in zip(self.values, other.values)], p)
-        return _Column([(a + b) % p for a, b in zip(self.values, other.values)], p)
-
-    def __mul__(self, other: _Column) -> _Column:
-        p = self.modulus
-        if p is None:
-            return _Column([a * b for a, b in zip(self.values, other.values)], p)
-        return _Column([a * b % p for a, b in zip(self.values, other.values)], p)
-
-    def __neg__(self) -> _Column:
-        p = self.modulus
-        if p is None:
-            return _Column([-a for a in self.values], p)
-        return _Column([-a % p for a in self.values], p)
-
-
-class _FieldBlock:
-    """GF(p) on columns: assignments ``start`` to ``stop - 1`` of an exhaustive check.
-
-    Assignment ``i`` binds the ``j``-th of ``names`` to digit ``j`` of ``i``
-    in base ``p``, most significant first, which is ``itertools.product``
-    order.  ``inverses`` memoizes ``field.inv`` across the blocks of one
-    check, for the residues met so far only: no table of the field is built.
+    ``inverses`` memoizes ``field.inv`` for the divisors met so far.
     """
-
-    def __init__(
-        self, field: Gfp, names: list[str], start: int, stop: int, inverses: dict[int, int]
-    ):
-        p = self.p = field.p
-        self.field, self.size, self.inverses = field, stop - start, inverses
-        rows = range(start, stop)
-        self.env: dict[str, _Column] = {}
-        for j, name in enumerate(names):
-            w = p ** (len(names) - 1 - j)
-            self.env[name] = _Column([i // w % p for i in rows], p)
-
-    def from_int(self, n: int) -> _Column:
-        return _Column([n % self.p] * self.size, self.p)
-
-    def div(self, x: _Column, y: _Column) -> _Column:
-        p, inv = self.p, self.inverses
-        for b in set(y.values).difference(inv):
-            inv[b] = self.field.inv(Residue(b, p)).value
-        return _Column([a * inv[b] % p for a, b in zip(x.values, y.values)], p)
-
-    def assignment(self, i: int) -> dict[str, MeadowValue]:
-        return {name: Residue(col.values[i], self.p) for name, col in self.env.items()}
-
-
-class _SampleBlock:
-    """A rational backend on columns: one chunk of sample assignments."""
-
-    def __init__(self, meadow: Q0 | CommonQ, chunk: list[Assignment], names: list[str]):
-        self.meadow, self.chunk, self.size = meadow, chunk, len(chunk)
-        try:
-            self.env = {name: _Column([env[name] for env in chunk], None) for name in names}
-        except KeyError as exc:
-            raise EvalError(f"unbound variable {exc.args[0]!r}") from None
-
-    def from_int(self, n: int) -> _Column:
-        return _Column([self.meadow.from_int(n)] * self.size, None)
-
-    def div(self, x: _Column, y: _Column) -> _Column:
-        return _Column(list(map(self.meadow.div, x.values, y.values)), None)
-
-    def assignment(self, i: int) -> dict[str, MeadowValue]:
-        return dict(self.chunk[i])
-
-
-def _field_blocks(field: Gfp, names: list[str]) -> Iterator[_FieldBlock]:
-    total, start, inverses = field.p ** len(names), 0, {}
-    for n in _block_sizes():
-        stop = min(start + n, total)
-        yield _FieldBlock(field, names, start, stop, inverses)
-        if stop == total:
-            return
-        start = stop
-
-
-def _sample_blocks(
-    meadow: Q0 | CommonQ, samples: Iterable[Assignment], names: list[str]
-) -> Iterator[_SampleBlock]:
-    samples = iter(samples)
-    for n in _block_sizes():
-        chunk = [_checked(env, meadow) for env in itertools.islice(samples, n)]
-        if not chunk:
-            return
-        yield _SampleBlock(meadow, chunk, names)
+    p = field.p
+    vals: list[list[int]] = []
+    for s in nodes:
+        cls = type(s)
+        if cls is Numeral:
+            vals.append([s.value % p] * size)
+        elif cls is Var:
+            vals.append(env[s.name])
+        elif cls is Neg:
+            vals[-1] = [-a % p for a in vals[-1]]
+        else:
+            y = vals.pop()
+            x = vals[-1]
+            if cls is Add:
+                vals[-1] = [(a + b) % p for a, b in zip(x, y)]
+            elif cls is Mul:
+                vals[-1] = [a * b % p for a, b in zip(x, y)]
+            else:
+                for b in set(y).difference(inverses):
+                    inverses[b] = field.inv(Residue(b, p)).value
+                vals[-1] = [a * inverses[b] % p for a, b in zip(x, y)]
+    return vals[0]
 
 
 def meadow_from_name(name: str) -> Meadow:
@@ -565,9 +472,12 @@ def meadow_from_name(name: str) -> Meadow:
     if name == "common":
         return CommonQ()
     if name.startswith("gf:"):
-        try:
-            p = int(name[3:])
-        except ValueError:
-            raise DomainError(f"bad prime in meadow name {name!r}") from None
-        return Gfp(p)
+        digits = name[3:]
+        # int() would also take other Unicode digits, signs, spaces and underscores.
+        if digits.isascii() and digits.isdigit():
+            try:
+                return Gfp(int(digits))
+            except ValueError:  # more digits than the interpreter converts
+                pass
+        raise DomainError(f"bad prime in meadow name {name!r}")
     raise DomainError(f"unknown meadow {name!r} (expected q0, gf:P, or common)")

@@ -8,10 +8,12 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracterm.cli import AXIOMS
 from fracterm.errors import DomainError, EvalError
 from fracterm.meadows import (
+    _MAX_MODULUS,
     ERROR,
     CheckReport,
     CommonQ,
@@ -381,7 +383,7 @@ class TestCheckIdentity:
         monkeypatch.setattr(Gfp, "inv", counted_inv)
         report = check_identity(parse("1/2 + 1/2"), parse("1"), [], Gfp(2**61 - 1))
         assert (report.valid, report.assignments_checked) == (True, 1)
-        assert len(calls) <= 1
+        assert len(calls) == 1
 
     def test_report_json_shape(self):
         report = check_identity(parse("x"), parse("x+1"), [], Gfp(2))
@@ -432,9 +434,11 @@ class TestBlockwiseCheck:
                 {v: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for v in names}
                 for _ in range(rng.randrange(1, 80))
             ]
-            for m in (Q, C):
-                got = check_identity(lhs, rhs, conds, m, samples).to_json()
-                assert got == _one_at_a_time(lhs, rhs, conds, m, samples), (lhs, rhs, conds)
+            # In CommonQ some samples bind a, so that a side or condition denotes it.
+            common = [{v: ERROR if rng.random() < 0.05 else q for v, q in s.items()} for s in samples]
+            for m, ss in ((Q, samples), (C, common)):
+                got = check_identity(lhs, rhs, conds, m, ss).to_json()
+                assert got == _one_at_a_time(lhs, rhs, conds, m, ss), (lhs, rhs, conds)
         assert len(statuses) == 4  # valid and not, each with and without conditions
 
     @pytest.mark.parametrize(
@@ -473,6 +477,14 @@ class TestBlockwiseCheck:
     def test_every_sample_binds_every_variable(self):
         with pytest.raises(EvalError, match="unbound variable 'y'"):
             check_identity(parse("x"), parse("y"), [], Q, [{"x": Fraction(1)}])
+        one, two = Fraction(1), Fraction(2)
+        # A sample before the counterexample must bind every variable ...
+        samples = [{"x": one, "y": one}, {"x": one}, {"x": one, "y": two}]
+        with pytest.raises(EvalError, match="unbound variable 'y'"):
+            check_identity(parse("x"), parse("y"), [], Q, samples)
+        # ... but the samples after it are never read.
+        report = check_identity(parse("x"), parse("y"), [], Q, [{"x": one, "y": two}, {"x": one}])
+        assert (report.status, report.assignments_checked) == ("counterexample", 1)
 
 
 class TestFormatting:
@@ -487,6 +499,26 @@ class TestFormatting:
         assert isinstance(meadow_from_name("common"), CommonQ)
         g = meadow_from_name("gf:7")
         assert isinstance(g, Gfp) and g.p == 7
-        for bad in ("gf:", "gf:six", "gf:8", "r"):
+        for bad in ("gf:", "gf:six", "gf:8", "r", "gf:\u0667", "gf: 7", "gf:+7", "gf:1_009"):
             with pytest.raises(DomainError):
                 meadow_from_name(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.text(max_size=6),
+            st.from_regex(r"[0-9 +\-_\u0660-\u0669\u0966-\u096f]{0,6}", fullmatch=True),
+            st.builds(lambda z, n: "0" * z + str(n), st.integers(0, 3), st.integers(0, 10**5)),
+            st.integers(_MAX_MODULUS, 10**30).map(str),
+        )
+    )
+    def test_meadow_name_after_gf(self, text):
+        # Only ASCII digits naming a prime below the modulus limit build a field.
+        ascii_digits = text != "" and all(c in "0123456789" for c in text)
+        p = int(text) if ascii_digits else 0
+        if 1 < p < _MAX_MODULUS and all(p % d for d in range(2, math.isqrt(p) + 1)):
+            g = meadow_from_name(f"gf:{text}")
+            assert isinstance(g, Gfp) and g.p == p
+        else:
+            with pytest.raises(DomainError):
+                meadow_from_name(f"gf:{text}")
