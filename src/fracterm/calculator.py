@@ -6,7 +6,9 @@ root (``_MAX_DEPTH``).  Every derivation step records the position rewritten,
 the rule applied, the numerals the step assumes nonzero, and the complete term
 before and after.  The engine itself keeps only each step's contractum and a
 link to its parent's position: a step's position and the complete terms of a
-derivation are built when first read.
+derivation are built when first read.  :func:`replay_derivation` and
+:meth:`NormalForm.to_json` build none of them: they walk one zipper over the
+contracta and links instead.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -37,11 +39,11 @@ derivation in a prime field where some of them vanish.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable
+from typing import Any
 
-from .errors import DomainError, EvalError, MatchError, SafetyError
+from .errors import DomainError, EvalError, MatchError, PositionError, SafetyError
 from .meadows import Q0, _pair, evaluate
-from .syntax import _dumps, term_to_json_obj, to_text
+from .syntax import _dumps, _piece_count, _pieces, _Rendered, term_to_json_obj, to_text
 from .terms import (
     Add,
     Div,
@@ -137,21 +139,38 @@ class Step(_Frozen):
         return self._terms[self._i + 1]
 
     def to_json_obj(self) -> dict:
-        return self._json_layout(term_to_json_obj)
+        return self._json_layout(term_to_json_obj(self.before), term_to_json_obj(self.after))
 
-    def _json_layout(self, term: Callable[[Term], Any]) -> dict:
-        """The JSON object of this step, with each term passed through ``term``."""
+    def _json_layout(self, before: Any, after: Any) -> dict:
+        """The JSON object of this step, with ``before`` and ``after`` as its terms."""
         return {
             "rule": self.rule,
             "position": list(self.position),
-            "before": term(self.before),
-            "after": term(self.after),
+            "before": before,
+            "after": after,
             "conditions": sorted(self.conditions),
         }
 
 
 _set_rule, _set_conditions = Step.rule.__set__, Step.conditions.__set__
 _set_terms, _set_i = Step._terms.__set__, Step._i.__set__
+
+
+def _trace_step(terms: _Terms, rule: str, link: _Link, contractum: Term, conditions) -> Step:
+    """Append the edit ``(link, contractum)`` to ``terms`` and return its step."""
+    step = object.__new__(Step)
+    _set_rule(step, rule)
+    _set_conditions(step, conditions)
+    _set_terms(step, terms)
+    _set_i(step, len(terms.edits))
+    terms.edits.append((link, contractum))
+    return step
+
+
+def _continues(prev: Step | None, step: Step) -> bool:
+    """Whether ``step`` is the edit after ``prev``'s in one derivation's record."""
+    return prev is not None and step._terms is prev._terms and step._i == prev._i + 1
+
 
 #: A position as a linked list: ``(i, parent link)`` for child ``i``, ``None`` at the root.
 _Link = tuple[int, "_Link"] | None
@@ -170,11 +189,12 @@ def _path(link: _Link) -> Position:
 class _Terms:
     """The positions and whole terms of one derivation: ``root``, then one after each edit.
 
-    An edit is one step's ``(link, contractum)``.  The first read of a position
-    builds every step's position from its link, and the first read of a term
-    builds every term in one :func:`replace_at` pass over the edits.  Steps
-    point here, and this holds no step, so an unread derivation is freed
-    without the cycle collector.
+    An edit is one step's ``(link, contractum)``; a hand-built step has no
+    edit and holds its position and both terms instead.  The first read of a
+    position builds every step's position from its link, and the first read
+    of a term after the root builds every term in one :class:`_Zipper` walk
+    over the edits.  Steps point here, and this holds no step, so an unread
+    derivation is freed without the cycle collector.
     """
 
     __slots__ = ("root", "edits", "positions", "built")
@@ -191,16 +211,103 @@ class _Terms:
         return self.positions[i]
 
     def __getitem__(self, i: int) -> Term:
+        if i == 0:
+            return self.root
         if self.built is None:
-            t = self.root
-            self.built = [t]
-            for k, (_, new) in enumerate(self.edits):
-                t = replace_at(t, self.position(k), new)
-                self.built.append(t)
+            z = _Zipper(self.root)
+            self.built = [self.root]
+            for link, new in self.edits:
+                z.move(link)
+                z.focus = new
+                self.built.append(z.whole())
         return self.built[i]
 
 
+class _Zipper:
+    """A term opened at one subterm, its focus (Huet, *The Zipper*, JFP 7(5), 1997).
+
+    ``path`` holds each node above the focus, root first, with the index of
+    the operand the path takes and that operand's link; the operand itself is
+    stale, the others are current.  ``depths`` maps the id of each of those
+    links to its depth.  So moving to a step's link climbs only to the deepest
+    node on the path that the link passes through: consecutive engine steps
+    move a few levels, and a walk over a whole derivation is linear in its
+    steps and depth.
+    """
+
+    __slots__ = ("focus", "path", "depths")
+
+    def __init__(self, t: Term):
+        self.focus = t
+        self.path: list[tuple[Term, int, _Link]] = []
+        self.depths: dict[int, int] = {}
+
+    def move(self, link: _Link) -> int:
+        """Focus the subterm at ``link``; return how many nodes of the path stay on it."""
+        down: list[_Link] = []
+        while link is not None:
+            kept = self.depths.get(id(link))
+            if kept is not None:
+                break
+            down.append(link)
+            link = link[1]
+        else:
+            kept = 0
+        while len(self.path) > kept:
+            node, i, up = self.path.pop()
+            del self.depths[id(up)]
+            self.focus = _with_operand(node, i, self.focus)
+        for link in reversed(down):
+            self._down(link)
+        return kept
+
+    def descend(self, pos: Position) -> None:
+        """Focus the subterm at ``pos`` below the focus."""
+        if not isinstance(pos, (tuple, list)):
+            raise MatchError(f"a position is a list of child indices, got {pos!r}")
+        for i in pos:
+            self._down((i, self.path[-1][2] if self.path else None))
+
+    def _down(self, link: tuple[int, _Link]) -> None:
+        i, kids = link[0], children(self.focus)
+        if type(i) is not int or not 0 <= i < len(kids):
+            raise MatchError(f"no operand {i!r} of {type(self.focus).__name__} to rewrite at")
+        self.path.append((self.focus, i, link))
+        self.depths[id(link)] = len(self.path)
+        self.focus = kids[i]
+
+    def whole(self) -> Term:
+        """The whole term, with the focus plugged in."""
+        t = self.focus
+        for node, i, _ in reversed(self.path):
+            t = _with_operand(node, i, t)
+        return t
+
+
+def _opened(step: Step) -> _Zipper:
+    """A zipper on ``step.before``, walked from its record's root through the earlier edits."""
+    terms = step._terms
+    z = _Zipper(terms.root)
+    for link, contractum in terms.edits[: step._i]:
+        z.move(link)
+        z.focus = contractum
+    return z
+
+
+def _with_operand(node: Term, i: int, new: Term) -> Term:
+    """``node`` with its operand ``i`` replaced by ``new``."""
+    cls = type(node)
+    if cls is Neg:
+        return Neg(new)
+    if cls is Div:
+        return Div(new, node.denominator) if i == 0 else Div(node.numerator, new)
+    return cls(new, node.right) if i == 0 else cls(node.left, new)
+
+
 Derivation = list[Step]
+
+#: A trace step's terms sit this many JSON containers deep in :meth:`NormalForm.to_json`.
+_STEP_TERM_LEVEL = 3
 
 
 class NormalForm(_Record):
@@ -213,23 +320,54 @@ class NormalForm(_Record):
         self.trace = [] if trace is None else trace
 
     def to_json_obj(self) -> dict:
-        return self._json_layout(term_to_json_obj)
+        return self._json_layout(term_to_json_obj(self.result), [s.to_json_obj() for s in self.trace])
 
     def to_json(self, indent: int | None = 2) -> str:
-        """``json.dumps(self.to_json_obj(), indent=indent)``, rendered from the terms."""
-        return _dumps(self._json_layout(_same_term), indent)
+        """``json.dumps(self.to_json_obj(), indent=indent)``, rendered from the terms.
 
-    def _json_layout(self, term: Callable[[Term], Any]) -> dict:
-        """The JSON object of this normal form, with each term passed through ``term``."""
-        return {
-            "result": term(self.result),
-            "conditions": sorted(self.conditions),
-            "steps": [s._json_layout(term) for s in self.trace],
-        }
+        A step that continues the previous step's record writes its ``after``
+        by splicing the rendered contractum into its ``before``, which is the
+        previous ``after``; any other step's terms are rendered whole.
+        """
+        texts = _step_texts(self.trace, indent)
+        steps = [s._json_layout(_Rendered(b), _Rendered(a)) for s, (b, a) in zip(self.trace, texts)]
+        return _dumps(self._json_layout(self.result, steps), indent)
+
+    def _json_layout(self, result: Any, steps: list) -> dict:
+        """The JSON object of this normal form, with ``result`` and ``steps`` as given."""
+        return {"result": result, "conditions": sorted(self.conditions), "steps": steps}
 
 
-def _same_term(t: Term) -> Term:
-    return t
+def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[list[str], list[str]]]:
+    """The JSON text pieces of each step's ``before`` and ``after``, at ``_STEP_TERM_LEVEL``.
+
+    Along one record a :class:`_Zipper` walks the edits, and ``starts`` holds
+    the index in ``text`` of the first piece of each node on its path.  An
+    operand's pieces start one after its parent's, the second operand's also
+    after the first operand's pieces and the one between them.  Consecutive
+    steps share the strings of the pieces they have in common.
+    """
+    texts: list[tuple[list[str], list[str]]] = []
+    prev = None
+    for step in trace:
+        terms, k = step._terms, step._i
+        if k == len(terms.edits):  # a hand-built step
+            texts.append(tuple(_pieces(t, indent, _STEP_TERM_LEVEL) for t in (step.before, step.after)))
+            prev = None
+            continue
+        if not _continues(prev, step):
+            z, starts = _opened(step), [0]
+            text = _pieces(z.whole(), indent, _STEP_TERM_LEVEL)
+        prev = step
+        link, contractum = terms.edits[k]
+        del starts[z.move(link) + 1 :]
+        for node, i, _ in z.path[len(starts) - 1 :]:
+            starts.append(starts[-1] + (_piece_count(children(node)[0]) + 2 if i else 1))
+        start, level = starts[-1], _STEP_TERM_LEVEL + 2 * len(z.path)
+        after = text[:start] + _pieces(contractum, indent, level) + text[start + _piece_count(z.focus) :]
+        texts.append((text, after))
+        text, z.focus = after, contractum
+    return texts
 
 
 def _ring_value(t: Term) -> int:
@@ -337,16 +475,10 @@ class _Engine:
         return values
 
     def _rewrite(self, link: _Link, rule: str, new_sub: Term, conds=()) -> None:
-        step = object.__new__(Step)
-        _set_rule(step, rule)
         if conds:
             conds = frozenset(conds)
             self.conditions |= conds
-        _set_conditions(step, conds or _NO_CONDITIONS)
-        _set_terms(step, self.terms)
-        _set_i(step, len(self.steps))
-        self.steps.append(step)
-        self.terms.edits.append((link, new_sub))
+        self.steps.append(_trace_step(self.terms, rule, link, new_sub, conds or _NO_CONDITIONS))
 
     # -- canonical shapes -------------------------------------------------
     #
@@ -612,34 +744,80 @@ def _apply_at(sub: Term, rule: str, inst: dict, enable_dbz: bool) -> Term:
 
 
 def replay_derivation(steps: Derivation) -> Term:
-    """Re-apply every step and verify the recorded terms; return the final term.
+    """Re-derive every step, check it against the record, and return the final term.
 
-    Raises :class:`MatchError` if a step does not reproduce or consecutive
-    steps fail to chain.
+    Each step's redex is re-contracted with its rule, whose recorded
+    conditions must be exactly the numerals that rule instance assumes
+    nonzero: ``{k}`` for ``FEQ``, the two denominators for ``CFAR`` and none
+    for any other rule.  The steps of one record are checked at their
+    redexes, in one :class:`_Zipper` walk over its edits, and a hand-built
+    step's whole ``after`` must match as well.  A step that does not continue
+    the previous step's record must start from the term the previous step
+    left.  A step that does not reproduce or chain raises :class:`MatchError`;
+    an empty derivation raises :class:`DomainError`.
     """
     if not steps:
         raise DomainError("empty derivation")
+    prev = z = None
     for i, step in enumerate(steps):
-        if i > 0 and not eq_syn(steps[i - 1].after, step.before):
-            raise MatchError(f"step {i} does not chain from step {i - 1}")
-        redone = _replay_step(step)
-        if not eq_syn(redone, step.after):
-            raise MatchError(
-                f"step {i} ({step.rule} at {list(step.position)}) does not reproduce"
-            )
-    return steps[-1].after
+        terms, k = step._terms, step._i
+        if not _continues(prev, step):
+            previous, z = z, _opened(step)
+            if previous is not None and not eq_syn(previous.whole(), z.whole()):
+                raise MatchError(f"step {i} does not chain from step {i - 1}")
+        prev = step
+        if k < len(terms.edits):
+            link, contractum = terms.edits[k]
+            z.move(link)
+            after = None
+        else:  # a hand-built step, whose whole ``after`` must match
+            z.descend(step.position)
+            after = step.after
+            contractum = _subterm_or_none(after, step.position)
+        reproduced = contractum is not None and eq_syn(_contract(step, z.focus, contractum), contractum)
+        if reproduced:
+            z.focus = contractum
+        if not reproduced or after is not None and not eq_syn(z.whole(), after):
+            raise MatchError(f"step {i} ({step.rule} at {list(step.position)}) does not reproduce")
+    return z.whole()
 
 
-def _replay_step(step: Step) -> Term:
+def _subterm_or_none(t: Term, pos: Position) -> Term | None:
+    try:
+        return subterm_at(t, pos)
+    except PositionError:
+        return None
+
+
+def _contract(step: Step, redex: Term, contractum: Term) -> Term:
+    """``step``'s rule applied at ``redex``, once its conditions are the rule instance's.
+
+    ``FEQ`` runs in the direction that gives ``contractum``, if either does.
+    """
+    conditions = frozenset(step.conditions)
     if step.rule == RULE_FEQ:
-        if len(step.conditions) != 1:
-            raise MatchError(f"FEQ step records {len(step.conditions)} conditions, not one")
-        (k,) = step.conditions
-        forward = apply_rule(step.before, RULE_FEQ, step.position, {"k": k})
-        if eq_syn(forward, step.after):
+        if len(conditions) != 1:
+            raise MatchError(f"FEQ step records {len(conditions)} conditions, not one")
+        (k,) = conditions
+        forward = _apply_at(redex, RULE_FEQ, {"k": k}, False)
+        if eq_syn(forward, contractum):
             return forward
-        return apply_rule(step.before, RULE_FEQ, step.position, {"k": k, "direction": "rl"})
-    return apply_rule(step.before, step.rule, step.position, enable_dbz=True)
+        return _apply_at(redex, RULE_FEQ, {"k": k, "direction": "rl"}, False)
+    needs = _cfar_conditions(redex) if step.rule == RULE_CFAR else _NO_CONDITIONS
+    if conditions != needs:
+        raise MatchError(
+            f"{step.rule} step records conditions {sorted(conditions)}, not {sorted(needs)}"
+        )
+    return _apply_at(redex, step.rule, {}, True)
+
+
+def _cfar_conditions(redex: Term) -> frozenset[int]:
+    """The denominators of the ``CFAR`` redex ``x/k + u/l``, over numerals ``k`` and ``l``."""
+    if type(redex) is Add and type(redex.left) is Div and type(redex.right) is Div:
+        k, l = redex.left.denominator, redex.right.denominator
+        if type(k) is Numeral and type(l) is Numeral:
+            return frozenset((k.value, l.value))
+    raise MatchError(f"CFAR replays only over numeral denominators, found {to_text(redex)}")
 
 
 # -- normal-form comparison --------------------------------------------------

@@ -20,9 +20,10 @@ denoted values (``eq_val``).  Each implies the next.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .errors import DomainError
-from .meadows import Meadow, MeadowValue, _evaluate, denote
+from .meadows import Gfp, Meadow, MeadowValue, Residue, _evaluate, denote
 from .syntax import to_text
 from .terms import Div, Mul, Neg, Numeral, ONE, Term, Var, _Record, eq_syn, postorder
 
@@ -167,7 +168,7 @@ def _as_value_pair(t: Term, meadow: Meadow) -> tuple[MeadowValue, MeadowValue]:
     # A non-fraction contributes (value, 1) via the identity x = x/1.
     if isinstance(t, Div):
         return (denote(t.numerator, meadow), denote(t.denominator, meadow))
-    return (denote(t, meadow), meadow.from_int(1))
+    return (denote(t, meadow), Residue(1, meadow.p) if isinstance(meadow, Gfp) else Fraction(1))
 
 
 def eq_pair(p: Term, q: Term, meadow: Meadow) -> bool:

@@ -137,12 +137,6 @@ def _is_prime(n: int) -> bool:
 class _Rationals:
     """Exact rationals whose division by zero returns ``_over_zero``."""
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def is_zero(self, v: MeadowValue) -> bool:
-        return v == 0
-
     def contains(self, v: object) -> bool:
         """Whether ``v`` is a value here: a rational, or the value of ``x/0``."""
         if isinstance(v, int):
@@ -177,16 +171,10 @@ class Gfp:
         self.p = p
         self.name = f"gf:{p}"
 
-    def from_int(self, n: int) -> Residue:
-        return Residue(n % self.p, self.p)
-
     def inv(self, x: Residue) -> Residue:
         # 0**0 == 1 in Python, so the zero case needs a guard (matters for p == 2).
         v = pow(x.value, self.p - 2, self.p) if x.value else 0
         return Residue(v, self.p)
-
-    def is_zero(self, v: MeadowValue) -> bool:
-        return isinstance(v, Residue) and v.value == 0
 
     def contains(self, v: object) -> bool:
         """Whether ``v`` is a value here: a reduced residue modulo ``p``."""

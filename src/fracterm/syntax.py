@@ -254,70 +254,78 @@ _MAX_JSON_DEPTH = 990
 _TOO_DEEP = "term nests too deeply for JSON output"
 
 
+def _term_layout(cls: type, level: int, indent: int | None) -> tuple[str, str, str]:
+    """The text before, between and after the operands of a ``cls`` node at ``level``.
+
+    A node's operands sit two levels deeper, inside its ``args`` list.  Nodes
+    at ``_MAX_JSON_DEPTH`` or deeper raise :class:`DomainError`.
+    """
+    key = (cls, level, indent)
+    text = _LAYOUTS.get(key)
+    if text is None:
+        if level >= _MAX_JSON_DEPTH:
+            raise DomainError(_TOO_DEEP)
+        inner, end = _newline(indent, level + 1), _newline(indent, level) + "}"
+        if cls is Numeral:
+            text = ("{" + inner + '"num": "', "", '"' + end)
+        elif cls is Var:
+            text = ("{" + inner + '"var": ', "", end)
+        else:
+            sep, args = _separator(indent), _newline(indent, level + 2)
+            op = f'{{{inner}"op": "{_OP_NAMES[cls]}"{sep}{inner}"args": [{args}'
+            text = (op, sep + args, inner + "]" + end)
+        _LAYOUTS[key] = text
+    return text
+
+
+_LAYOUTS: dict[tuple[type, int, int | None], tuple[str, str, str]] = {}
+
+
+def _newline(indent: int | None, level: int) -> str:
+    return "" if indent is None else "\n" + " " * (indent * level)
+
+
+def _separator(indent: int | None) -> str:
+    return ", " if indent is None else ","
+
+
 def _dumps(obj: Any, indent: int | None = None) -> str:
     """``json.dumps(obj, indent=indent)``, with each term encoded as :func:`term_to_json_obj`.
 
-    One explicit stack renders dicts, lists, strings, integers, booleans,
-    ``None`` and terms, straight from the tree.  Within one call, each (term
-    node, nesting level) is rendered once: a repeat appends the pieces its
-    first rendering produced, so the steps of a trace share the text of the
-    subterms they share.  Integers past the int/str limit and nesting deeper
-    than ``_MAX_JSON_DEPTH`` containers raise :class:`DomainError`.
+    Integers past the int/str limit and nesting deeper than
+    ``_MAX_JSON_DEPTH`` containers raise :class:`DomainError`.
     """
-    sep = ", " if indent is None else ","
+    return "".join(_pieces(obj, indent))
 
-    def newline(level: int) -> str:
-        return "" if indent is None else "\n" + " " * (indent * level)
 
-    texts: dict[tuple[type, int], tuple[str, str, str]] = {}
+def _pieces(obj: Any, indent: int | None, level: int = 0) -> list[str]:
+    """The pieces of :func:`_dumps`'s text for ``obj``, as if it sat ``level`` containers deep.
 
-    def term_text(cls: type, level: int) -> tuple[str, str, str]:
-        """The text before, between and after the arguments of a term node at ``level``."""
-        text = texts.get((cls, level))
-        if text is None:
-            if level >= _MAX_JSON_DEPTH:
-                raise DomainError(_TOO_DEEP)
-            inner, end = newline(level + 1), newline(level) + "}"
-            if cls is Numeral:
-                text = ("{" + inner + '"num": "', "", '"' + end)
-            elif cls is Var:
-                text = ("{" + inner + '"var": ', "", end)
-            else:
-                args = newline(level + 2)
-                op = f'{{{inner}"op": "{_OP_NAMES[cls]}"{sep}{inner}"args": [{args}'
-                text = (op, sep + args, inner + "]" + end)
-            texts[cls, level] = text
-        return text
-
+    One explicit stack renders dicts, lists, strings, integers, booleans,
+    ``None``, terms and :class:`_Rendered` pieces, straight from the tree.  A
+    term's pieces are its own: a leaf gives one, and an operator one before,
+    one between and one after its operands', so :func:`_piece_count` finds
+    where each subterm's pieces start.
+    """
+    sep = _separator(indent)
     out: list[str] = []
-    # (id(term), level) -> the slice of ``out`` holding that term's encoding.
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
-    # Pieces of text, (value, level) to render, and [key, start] to close a memo slice.
-    stack: list[Any] = [(obj, 0)]
+    # Pieces of text, and (value, level) to render.
+    stack: list[Any] = [(obj, level)]
     while stack:
         item = stack.pop()
-        cls = type(item)
-        if cls is str:
+        if type(item) is str:
             out.append(item)
-            continue
-        if cls is list:
-            memo[item[0]] = item[1], len(out)
             continue
         value, level = item
         cls = type(value)
         if cls is Numeral or cls is Var:
-            before, _, after = term_text(cls, level)
+            before, _, after = _term_layout(cls, level, indent)
             leaf = _decimal(value.value) if cls is Numeral else encode_basestring_ascii(value.name)
             out.append(before + leaf + after)
         elif cls in _OP_NAMES:
-            key = (id(value), level)
-            span = memo.get(key)
-            if span is not None:
-                out += out[span[0] : span[1]]
-                continue
-            before, between, after = term_text(cls, level)
+            before, between, after = _term_layout(cls, level, indent)
             out.append(before)
-            stack += ([key, len(out) - 1], after)
+            stack.append(after)
             if cls is Neg:
                 stack.append((value.arg, level + 2))
             else:
@@ -335,11 +343,13 @@ def _dumps(obj: Any, indent: int | None = None) -> str:
             else:
                 entries = [("", v) for v in value]
             out.append(opening)
-            stack.append(newline(level) + closing)
-            head = newline(level + 1)
+            stack.append(_newline(indent, level) + closing)
+            head = _newline(indent, level + 1)
             for i in reversed(range(len(entries))):
                 label, v = entries[i]
                 stack += ((v, level + 1), (sep + head if i else head) + label)
+        elif cls is _Rendered:
+            out += value.pieces
         elif cls is str:
             out.append(encode_basestring_ascii(value))
         elif cls is int:
@@ -350,7 +360,24 @@ def _dumps(obj: Any, indent: int | None = None) -> str:
             out.append("null")
         else:
             raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    return "".join(out)
+    return out
+
+
+class _Rendered:
+    """Pieces of JSON text that :func:`_pieces` copies as they are: a value rendered at its level."""
+
+    __slots__ = ("pieces",)
+
+    def __init__(self, pieces: list[str]):
+        self.pieces = pieces
+
+
+_OWN_PIECES = {Numeral: 1, Var: 1, Neg: 2, Add: 3, Mul: 3, Div: 3}
+
+
+def _piece_count(t: Term) -> int:
+    """How many pieces :func:`_pieces` renders ``t`` in, at any level and indent."""
+    return sum(_OWN_PIECES[type(s)] for s in postorder(t))
 
 
 def term_to_json(t: Term) -> str:
