@@ -4,11 +4,12 @@ Two normalizers share one bottom-up engine on one explicit stack; it refuses
 with :class:`DomainError` to expand a subterm 990 or more levels below the
 root (``_MAX_DEPTH``).  Every derivation step records the position rewritten,
 the rule applied, the numerals the step assumes nonzero, and the complete term
-before and after.  The engine itself keeps only each step's contractum and a
-link to its parent's position: a step's position and the complete terms of a
-derivation are built when first read.  :func:`replay_derivation` and
-:meth:`NormalForm.to_json` build none of them: they walk one zipper over the
-contracta and links instead.
+before and after.  The engine itself builds no term but the result: it keeps
+each step's contractum as a constructor and the integers it takes, and its
+position as a link to its parent's.  A derivation's positions, contracta and
+complete terms are built when first read.  :func:`replay_derivation` and
+:meth:`NormalForm.to_json` build the contracta but no complete term: they walk
+one zipper over the contracta and links instead.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -107,10 +108,13 @@ _NO_CONDITIONS: frozenset[int] = frozenset()
 class Step(_Frozen):
     """One rewrite: ``before`` becomes ``after`` by ``rule`` at ``position``.
 
-    Immutable, and compared, hashed, shown and pickled by those four fields
-    and ``conditions``.  It reads its position and terms from a :class:`_Terms`
-    at its index there: its derivation's, for a step of a normal form's trace,
-    which builds them when first read.
+    Immutable, and compared, hashed and shown by those four fields and
+    ``conditions``.  It reads its position and terms from a :class:`_Terms`
+    at its index there.  A step of a normal form's trace reads its
+    derivation's record, which keeps each step's contractum as a constructor
+    and its integers and builds the terms when first read; it pickles and
+    copies as its index and a reference to that shared record, so it stays
+    unread.  A hand-built step holds its terms and pickles by its five fields.
     """
 
     __slots__ = ("rule", "conditions", "_terms", "_i")
@@ -151,19 +155,23 @@ class Step(_Frozen):
             "conditions": sorted(self.conditions),
         }
 
+    def __reduce__(self) -> tuple:
+        if self._i == len(self._terms.edits):  # a hand-built step
+            return super().__reduce__()
+        return _step_at, (self._terms, self._i, self.rule, self.conditions)
+
 
 _set_rule, _set_conditions = Step.rule.__set__, Step.conditions.__set__
 _set_terms, _set_i = Step._terms.__set__, Step._i.__set__
 
 
-def _trace_step(terms: _Terms, rule: str, link: _Link, contractum: Term, conditions) -> Step:
-    """Append the edit ``(link, contractum)`` to ``terms`` and return its step."""
+def _step_at(terms: _Terms, i: int, rule: str, conditions) -> Step:
+    """The step of edit ``i`` of ``terms``."""
     step = object.__new__(Step)
     _set_rule(step, rule)
     _set_conditions(step, conditions)
     _set_terms(step, terms)
-    _set_i(step, len(terms.edits))
-    terms.edits.append((link, contractum))
+    _set_i(step, i)
     return step
 
 
@@ -186,29 +194,45 @@ def _path(link: _Link) -> Position:
     return tuple(pos)
 
 
-class _Terms:
-    """The positions and whole terms of one derivation: ``root``, then one after each edit.
+#: One step's edit ``(link, build, *args)``: its contractum is ``build(*args)``.
+_Edit = tuple
 
-    An edit is one step's ``(link, contractum)``; a hand-built step has no
-    edit and holds its position and both terms instead.  The first read of a
-    position builds every step's position from its link, and the first read
-    of a term after the root builds every term in one :class:`_Zipper` walk
-    over the edits.  Steps point here, and this holds no step, so an unread
-    derivation is freed without the cycle collector.
+
+class _Terms:
+    """The record of one derivation: ``root``, and an edit for each step.
+
+    An edit keeps the step's position as a :data:`_Link` and its contractum
+    as a module-level constructor and the integers it takes, so the engine
+    records a step without building a term.  A hand-built step has no edit
+    and holds its position and both terms instead.  The first read of a
+    position builds every step's position from its link, the first read of a
+    contractum builds every contractum (:meth:`contracta`), and the first read
+    of a whole term after the root builds every whole term in one
+    :class:`_Zipper` walk over the edits.  Steps point here, and this holds no
+    step, so an unread derivation is freed without the cycle collector.  It
+    pickles and copies as its root and edits, with every link written once
+    in a flat table, so loading builds nothing and keeps the links shared.
     """
 
-    __slots__ = ("root", "edits", "positions", "built")
+    __slots__ = ("root", "edits", "positions", "built", "_contracta")
 
     def __init__(self, root: Term):
         self.root = root
-        self.edits: list[tuple[_Link, Term]] = []
+        self.edits: list[_Edit] = []
         self.positions: list[Position] | None = None
         self.built: list[Term] | None = None
+        self._contracta: list[Term] | None = None
 
     def position(self, i: int) -> Position:
         if self.positions is None:
-            self.positions = [_path(link) for link, _ in self.edits]
+            self.positions = [_path(e[0]) for e in self.edits]
         return self.positions[i]
+
+    def contracta(self) -> list[Term]:
+        """Each edit's contractum, all built on the first call."""
+        if self._contracta is None:
+            self._contracta = [e[1](*e[2:]) for e in self.edits]
+        return self._contracta
 
     def __getitem__(self, i: int) -> Term:
         if i == 0:
@@ -216,11 +240,36 @@ class _Terms:
         if self.built is None:
             z = _Zipper(self.root)
             self.built = [self.root]
-            for link, new in self.edits:
-                z.move(link)
+            for e, new in zip(self.edits, self.contracta()):
+                z.move(e[0])
                 z.focus = new
                 self.built.append(z.whole())
         return self.built[i]
+
+    def __reduce__(self) -> tuple:
+        # Each link is two table entries, its child index and its parent's
+        # number; the root's ``None`` is number 0 and the n-th link number n.
+        numbers, table, edits = {id(None): 0}, [], []
+        for e in self.edits:
+            new, link = [], e[0]
+            while id(link) not in numbers:
+                new.append(link)
+                link = link[1]
+            for link in reversed(new):
+                table += (link[0], numbers[id(link[1])])
+                numbers[id(link)] = len(table) // 2
+            edits.append((numbers[id(e[0])], *e[1:]))
+        return _load_terms, (self.root, table, edits)
+
+
+def _load_terms(root: Term, table: list[int], edits: list[tuple]) -> _Terms:
+    """The record that :meth:`_Terms.__reduce__` wrote as ``root``, ``table`` and ``edits``."""
+    links: list[_Link] = [None]
+    for j in range(0, len(table), 2):
+        links.append((table[j], links[table[j + 1]]))
+    terms = _Terms(root)
+    terms.edits = [(links[e[0]], *e[1:]) for e in edits]
+    return terms
 
 
 class _Zipper:
@@ -288,8 +337,8 @@ def _opened(step: Step) -> _Zipper:
     """A zipper on ``step.before``, walked from its record's root through the earlier edits."""
     terms = step._terms
     z = _Zipper(terms.root)
-    for link, contractum in terms.edits[: step._i]:
-        z.move(link)
+    for e, contractum in zip(terms.edits[: step._i], terms.contracta()):
+        z.move(e[0])
         z.focus = contractum
     return z
 
@@ -356,11 +405,11 @@ def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[list[str], 
             prev = None
             continue
         if not _continues(prev, step):
-            z, starts = _opened(step), [0]
+            z, starts, contracta = _opened(step), [0], terms.contracta()
             text = _pieces(z.whole(), indent, _STEP_TERM_LEVEL)
         prev = step
-        link, contractum = terms.edits[k]
-        del starts[z.move(link) + 1 :]
+        contractum = contracta[k]
+        del starts[z.move(terms.edits[k][0]) + 1 :]
         for node, i, _ in z.path[len(starts) - 1 :]:
             starts.append(starts[-1] + (_piece_count(children(node)[0]) + 2 if i else 1))
         start, level = starts[-1], _STEP_TERM_LEVEL + 2 * len(z.path)
@@ -415,9 +464,53 @@ def _fold_mul(t: Term, k: int) -> Term:
 _Frac = tuple[int, int]
 
 
+# -- contracta -------------------------------------------------------------
+#
+# An engine step keeps its contractum as one of these constructors and the
+# integers it takes (``signed_numeral`` for ``CR-eval``).  Every ``n`` is a
+# signed numeral and every ``l`` a numeral.
+
+
 def _flat(n: int, l: int) -> Div:
-    """The flat fraction ``n/l`` over a signed numeral and a numeral."""
+    """The flat fraction ``n/l``."""
     return Div(signed_numeral(n), Numeral(l))
+
+
+def _neg_over(n: int, l: int) -> Div:
+    """``(-n)/l``."""
+    return Div(Neg(signed_numeral(n)), Numeral(l))
+
+
+def _cfar(n1: int, l1: int, n2: int, l2: int) -> Div:
+    """``(n1*l2 + l1*n2)/(l1*l2)``, the ``CFAR`` contractum of ``n1/l1 + n2/l2``."""
+    x, y, u, w = signed_numeral(n1), Numeral(l1), signed_numeral(n2), Numeral(l2)
+    return Div(Add(Mul(x, w), Mul(y, u)), Mul(y, w))
+
+
+def _qcr(n1: int, n2: int, l: int) -> Div:
+    """``(n1 + n2)/l``."""
+    return Div(Add(signed_numeral(n1), signed_numeral(n2)), Numeral(l))
+
+
+def _cr_mul(n1: int, l1: int, n2: int, l2: int) -> Div:
+    """``(n1*n2)/(l1*l2)``."""
+    return Div(Mul(signed_numeral(n1), signed_numeral(n2)), Mul(Numeral(l1), Numeral(l2)))
+
+
+def _div1(n: int, l1: int, d: int) -> Div:
+    """``n/(l1*d)``, the ``DIV1`` contractum of ``(n/l1)/d``."""
+    return Div(signed_numeral(n), Mul(Numeral(l1), signed_numeral(d)))
+
+
+def _div1_over_flat(n: int, l1: int, n2: int, l2: int) -> Div:
+    """``n/(l1*(n2/l2))``, the ``DIV1`` contractum of ``(n/l1)/(n2/l2)``."""
+    return Div(signed_numeral(n), Mul(Numeral(l1), _flat(n2, l2)))
+
+
+def _div2(n: int, n2: int, l2: int) -> Div:
+    """``(n*l2*l2)/(n2*l2)``, the ``DIV2`` contractum of ``n/(n2/l2)``."""
+    z = Numeral(l2)
+    return Div(Mul(Mul(signed_numeral(n), z), z), Mul(signed_numeral(n2), z))
 
 
 #: Nodes this many levels or more below the root are not expanded.  The engine
@@ -440,8 +533,11 @@ class _Engine:
     ``done`` set, and then merges the shapes its operands left on ``shapes``.
     ``embed`` marks the root and the operands of ``+`` and ``*``, whose
     division-free results become ``x/1`` before the next operand is touched.
-    Contracta are built from integers, and ``_rewrite`` records each one with
-    its link; no position or whole term is built until a step's are read.
+    ``_rewrite`` keeps each step's contractum as an edit of its
+    :class:`_Terms`: a constructor and the integers of the shapes, with the
+    step's link.  So the engine builds no term but the result, and whether a
+    component is already a signed numeral follows from the rule and those
+    integers.
 
     In safe mode ``run`` stops (:class:`_Stop`) at the first zero denominator.
     """
@@ -474,11 +570,14 @@ class _Engine:
             raise _Stop  # a fraction over a division-free zero: stop before any step
         return values
 
-    def _rewrite(self, link: _Link, rule: str, new_sub: Term, conds=()) -> None:
+    def _rewrite(self, rule: str, edit: _Edit, conds=()) -> None:
+        """Record a step by ``rule`` that assumes the numerals ``conds`` nonzero."""
         if conds:
             conds = frozenset(conds)
             self.conditions |= conds
-        self.steps.append(_trace_step(self.terms, rule, link, new_sub, conds or _NO_CONDITIONS))
+        terms = self.terms
+        self.steps.append(_step_at(terms, len(terms.edits), rule, conds or _NO_CONDITIONS))
+        terms.edits.append(edit)
 
     # -- canonical shapes -------------------------------------------------
     #
@@ -501,18 +600,17 @@ class _Engine:
             if done:
                 if cls is Neg:
                     n, l = shapes[-1]
-                    num = Neg(signed_numeral(n))
-                    self._rewrite(link, RULE_CR_FRAC, Div(num, Numeral(l)))
-                    shapes[-1] = self._canon_pure((0, link), num, -n), l
+                    shapes[-1] = self._negate(link, n, l), l
                 else:
                     right = shapes.pop()
                     shapes[-1] = merge[cls](link, shapes[-1], right)
                 continue
             v = values.get(id(s))
             if v is not None:
-                v = self._canon_pure(link, s, v)
+                if as_signed_numeral(s) is None:
+                    self._rewrite(RULE_CR_EVAL, (link, signed_numeral, v))
                 if embed:
-                    self._rewrite(link, RULE_CR_EMBED, _flat(v, 1))
+                    self._rewrite(RULE_CR_EMBED, (link, _flat, v, 1))
                     v = v, 1
                 shapes.append(v)
                 continue
@@ -531,19 +629,25 @@ class _Engine:
         result = _flat(*shapes[0]) if self.steps else t
         return NormalForm(result, self.conditions, self.steps)
 
-    def _canon_pure(self, link: _Link, t: Term, v: int) -> int:
-        """Rewrite division-free ``t`` at ``link``, denoting ``v``, to a signed numeral."""
-        if as_signed_numeral(t) is None:
-            self._rewrite(link, RULE_CR_EVAL, signed_numeral(v))
-        return v
+    def _negate(self, link: _Link, n: int, l: int) -> int:
+        """Rewrite ``-(n/l)`` or ``n/(-l)`` at ``link`` to ``(-n)/l``, evaluated; return ``-n``."""
+        self._rewrite(RULE_CR_FRAC, (link, _neg_over, n, l))
+        if n <= 0:  # else ``-(n)`` is already the signed numeral of ``-n``
+            self._rewrite(RULE_CR_EVAL, ((0, link), signed_numeral, -n))
+        return -n
 
     def _contract(
-        self, link: _Link, rule: str, num: Term, den: Term, nv: int, dv: int, conds=()
+        self, link: _Link, rule: str, edit: _Edit, nv: int, dv: int, conds=(), numeral_den=False
     ) -> _Frac:
-        """Rewrite to ``num/den``, evaluate both to ``nv`` and ``dv``, and finalize."""
-        self._rewrite(link, rule, Div(num, den), conds)
-        self._canon_pure((0, link), num, nv)
-        self._canon_pure((1, link), den, dv)
+        """Rewrite by ``edit`` to a fraction, evaluate it to ``nv/dv``, and finalize.
+
+        The contractum's numerator is never a numeral, and its denominator is
+        one exactly when ``numeral_den``.
+        """
+        self._rewrite(rule, edit, conds)
+        self._rewrite(RULE_CR_EVAL, ((0, link), signed_numeral, nv))
+        if not numeral_den:
+            self._rewrite(RULE_CR_EVAL, ((1, link), signed_numeral, dv))
         return self._finalize_fraction(link, nv, dv)
 
     def _finalize_fraction(self, link: _Link, nv: int, dv: int) -> _Frac:
@@ -551,58 +655,53 @@ class _Engine:
         if dv == 0:
             if self.safe:  # all below is safe, so each shape is its operand's Q0 value
                 raise _Stop
-            self._rewrite(link, RULE_DBZ, Div(ZERO, ONE))
+            self._rewrite(RULE_DBZ, (link, _flat, 0, 1))
             return 0, 1
         if dv < 0:
-            num = Neg(signed_numeral(nv))
-            return self._contract(link, RULE_CR_FRAC, num, Numeral(-dv), -nv, -dv)
+            return self._finalize_fraction(link, self._negate(link, nv, -dv), -dv)
         # The calculation relies on this denominator being nonzero; record
         # the witness so the derivation can be re-checked in prime fields.
         self.conditions.add(dv)
         g = math.gcd(nv, dv)
         if g > 1:
             nv, dv = nv // g, dv // g
-            self._rewrite(link, RULE_FEQ, _flat(nv, dv), conds=(g,))
+            self._rewrite(RULE_FEQ, (link, _flat, nv, dv), (g,))
         return nv, dv
 
     def _merge_sum(self, link: _Link, left: _Frac, right: _Frac) -> _Frac:
         (n1, l1), (n2, l2) = left, right
         if not self.safe:
-            x, y, u, w = signed_numeral(n1), Numeral(l1), signed_numeral(n2), Numeral(l2)
-            num, den = Add(Mul(x, w), Mul(y, u)), Mul(y, w)
-            nv, dv = n1 * l2 + l1 * n2, l1 * l2
-            return self._contract(link, RULE_CFAR, num, den, nv, dv, (l1, l2))
+            edit = (link, _cfar, n1, l1, n2, l2)
+            return self._contract(link, RULE_CFAR, edit, n1 * l2 + l1 * n2, l1 * l2, (l1, l2))
         g = math.gcd(l1, l2)
         m1, m2 = l2 // g, l1 // g
         for i, n, l, mult in ((0, n1, l1, m1), (1, n2, l2, m2)):
             if mult > 1:
-                self._rewrite((i, link), RULE_FEQ, _flat(n * mult, l * mult), (mult,))
-        num, den = Add(signed_numeral(n1 * m1), signed_numeral(n2 * m2)), l1 * m1
-        return self._contract(link, RULE_QCR, num, Numeral(den), n1 * m1 + n2 * m2, den)
+                self._rewrite(RULE_FEQ, ((i, link), _flat, n * mult, l * mult), (mult,))
+        n1, n2, den = n1 * m1, n2 * m2, l1 * m1
+        edit = (link, _qcr, n1, n2, den)
+        return self._contract(link, RULE_QCR, edit, n1 + n2, den, numeral_den=True)
 
     def _merge_product(self, link: _Link, left: _Frac, right: _Frac) -> _Frac:
         (n1, l1), (n2, l2) = left, right
-        num = Mul(signed_numeral(n1), signed_numeral(n2))
-        den = Mul(Numeral(l1), Numeral(l2))
-        return self._contract(link, RULE_CR_MUL, num, den, n1 * n2, l1 * l2)
+        return self._contract(link, RULE_CR_MUL, (link, _cr_mul, n1, l1, n2, l2), n1 * n2, l1 * l2)
 
     def _divide(self, link: _Link, num: int | _Frac, den: int | _Frac) -> _Frac:
         if isinstance(num, tuple):
-            num, l1 = num
-            old_den = _flat(*den) if isinstance(den, tuple) else signed_numeral(den)
-            new_den = Mul(Numeral(l1), old_den)
-            self._rewrite(link, RULE_DIV1, Div(signed_numeral(num), new_den))
             # Normalize the new denominator ``l1 * den`` as its own subterm.
+            num, l1 = num
             if isinstance(den, tuple):
-                self._rewrite((0, (1, link)), RULE_CR_EMBED, _flat(l1, 1))
+                self._rewrite(RULE_DIV1, (link, _div1_over_flat, num, l1, *den))
+                self._rewrite(RULE_CR_EMBED, ((0, (1, link)), _flat, l1, 1))
                 den = self._merge_product((1, link), (l1, 1), den)
             else:
-                den = self._canon_pure((1, link), new_den, l1 * den)
+                self._rewrite(RULE_DIV1, (link, _div1, num, l1, den))
+                den *= l1
+                self._rewrite(RULE_CR_EVAL, ((1, link), signed_numeral, den))
         if isinstance(den, tuple):
             n2, l2 = den
-            x, y, z = signed_numeral(num), signed_numeral(n2), Numeral(l2)
-            top, bottom = Mul(Mul(x, z), z), Mul(y, z)
-            return self._contract(link, RULE_DIV2, top, bottom, num * l2 * l2, n2 * l2)
+            edit = (link, _div2, num, n2, l2)
+            return self._contract(link, RULE_DIV2, edit, num * l2 * l2, n2 * l2)
         return self._finalize_fraction(link, num, den)
 
 
@@ -762,14 +861,13 @@ def replay_derivation(steps: Derivation) -> Term:
     for i, step in enumerate(steps):
         terms, k = step._terms, step._i
         if not _continues(prev, step):
-            previous, z = z, _opened(step)
+            previous, z, contracta = z, _opened(step), terms.contracta()
             if previous is not None and not eq_syn(previous.whole(), z.whole()):
                 raise MatchError(f"step {i} does not chain from step {i - 1}")
         prev = step
         if k < len(terms.edits):
-            link, contractum = terms.edits[k]
-            z.move(link)
-            after = None
+            z.move(terms.edits[k][0])
+            contractum, after = contracta[k], None
         else:  # a hand-built step, whose whole ``after`` must match
             z.descend(step.position)
             after = step.after

@@ -22,6 +22,7 @@ from fracterm.calculator import (
     RULE_DIV2,
     RULE_FEQ,
     RULE_QCR,
+    NormalForm,
     Step,
     apply_rule,
     check_equal,
@@ -38,11 +39,14 @@ from fracterm.syntax import parse, term_to_json, term_to_json_obj, to_text
 from fracterm.terms import (
     Add,
     Div,
+    Mul,
     Neg,
     Numeral,
     Var,
     as_signed_numeral,
     eq_syn,
+    node_count,
+    postorder,
     subterms,
 )
 
@@ -498,29 +502,117 @@ def _harmonic(n):
     return _left_sum([Div(Numeral(1), Numeral(i)) for i in range(1, n + 1)])
 
 
+@pytest.fixture
+def count_nodes(monkeypatch):
+    """Call it once to record every term node constructed from then on, in the list it returns."""
+
+    def start():
+        built = []
+        for cls in (Numeral, Var, Add, Mul, Neg, Div):
+
+            def counting(self, *args, _init=cls.__init__):
+                built.append(self)
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return built
+
+    return start
+
+
+def _count_contractum_builds(nf):
+    """Make each edit of ``nf``'s record count the builds of its contractum; return the counts."""
+    record = nf.trace[0]._terms
+    builds = [0] * len(record.edits)
+
+    def counted(k, build, *args):
+        builds[k] += 1
+        return build(*args)
+
+    record.edits = [(link, counted, k, *rest) for k, (link, *rest) in enumerate(record.edits)]
+    return builds
+
+
+READS = {
+    "after": lambda nf: nf.trace[len(nf.trace) // 2].after,
+    "to_json": lambda nf: nf.to_json(),
+    "replay": lambda nf: replay_derivation(nf.trace),
+}
+
+
 class TestLocalSteps:
-    """The engine records each step's contractum; whole terms are built when read."""
+    """The engine records each step's contractum as integers; terms are built when read."""
 
     @pytest.mark.parametrize(
         "make", [lambda: _harmonic(200), lambda: _continued_fraction(100)],
         ids=["harmonic_200", "continued_100"],
     )
     @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
-    def test_normalizing_builds_no_whole_term(self, monkeypatch, normalize, make):
+    def test_normalizing_builds_no_whole_term(self, monkeypatch, count_nodes, normalize, make):
+        # Until a step is read, the engine builds the result's nodes and no other.
         def refuse(*args):
             raise AssertionError("a whole term was built")
 
         t = make()
         monkeypatch.setattr("fracterm.calculator.replace_at", refuse)
         monkeypatch.setattr("fracterm.terms.replace_at", refuse)
+        built = count_nodes()
         nf = normalize(t)
         assert q0_value(nf.result) == q0_value(t)
         assert_normal_form(nf)
         for step in nf.trace:
             assert isinstance(step.rule, str) and isinstance(step.position, tuple)
             assert step.conditions <= nf.conditions
-        monkeypatch.undo()
+        assert len(nf.trace) > 100
+        result = postorder(nf.result)
+        assert len(built) == len(result) and {id(b) for b in built} == {id(s) for s in result}
         assert eq_syn(nf.trace[-1].after, nf.result)
+        assert len(built) > len(result)
+
+    @pytest.mark.parametrize("read", READS.values(), ids=READS.keys())
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_first_read_builds_each_contractum_once(self, normalize, read):
+        nf = normalize(parse("-(1/2) + 3/(-6) + (4/6)/(2/3) + 5*(1+1/2) + 1/(2/(-3))"))
+        builds = _count_contractum_builds(nf)
+        read(nf)
+        assert builds == [1] * len(nf.trace)
+        for again in READS.values():
+            again(nf)
+        nf.trace[0].before, nf.trace[1].position
+        assert builds == [1] * len(nf.trace)
+
+    def test_a_pickled_trace_stays_unread(self, count_nodes):
+        # Steps pickle as indices into one shared record of the root and the
+        # edits' integers; loading builds the root and the result, nothing else.
+        t = _continued_fraction(495)
+        nf = normalize_safe(t)
+        built = count_nodes()
+        twin = pickle.loads(pickle.dumps(nf))
+        assert len(built) == node_count(t) + node_count(nf.result)
+        record, loaded = nf.trace[0]._terms, twin.trace[0]._terms
+        assert all(s._terms is loaded for s in twin.trace)
+        assert [s._i for s in twin.trace] == list(range(len(nf.trace)))
+        assert [s.rule for s in twin.trace] == [s.rule for s in nf.trace]
+        assert [s.conditions for s in twin.trace] == [s.conditions for s in nf.trace]
+        assert [e[1:] for e in loaded.edits] == [e[1:] for e in record.edits]
+        # every link is loaded once and stays shared between the steps that pass through it
+        links = lambda r: len({id(e[0]) for e in r.edits})
+        assert links(loaded) == links(record)
+        for r in (record, loaded):
+            assert r._contracta is None and r.built is None and r.positions is None
+        assert eq_syn(replay_derivation(twin.trace), nf.result)
+        assert loaded.built is None
+
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_step_to_json_obj(self, normalize):
+        t = parse("-(1/2) + 3/(-6) + (4/6)/(2/3) + 5*(1+1/2) + 1/(2/(-3))")
+        expected = normalize(t).to_json_obj()["steps"]
+        for i in range(len(expected)):  # each step of a trace no step of which was read
+            assert normalize(t).trace[i].to_json_obj() == expected[i]
+        nf = normalize(t)
+        hand_built = [Step(s.rule, s.position, s.before, s.after, s.conditions) for s in nf.trace]
+        assert [s.to_json_obj() for s in hand_built] == expected
+        assert NormalForm(nf.result, nf.conditions, hand_built).to_json_obj()["steps"] == expected
 
     def test_an_unread_or_read_derivation_needs_no_cycle_collector(self):
         t = _harmonic(50)

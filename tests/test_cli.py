@@ -1,6 +1,7 @@
 """Command-line interface: output formats and exit codes."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,27 @@ class TestFracpairCommand:
     def test_zero_mode_sum(self, capsys):
         out = run(capsys, "fracpair", "add", "2/0", "3/0", "--zero-mode", "sum")[1]
         assert out == "5/0\n"
+
+    def test_zero_mode_with_equals_after_the_operands(self, capsys):
+        out = run(capsys, "fracpair", "add", "-2/0", "3/0", "--zero-mode=sum")[1]
+        assert out == "1/0\n"
+
+    def test_help_after_the_operands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fracpair", "add", "-1/2", "1/3", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fracterm fracpair")
+
+    @pytest.mark.parametrize("op", ["neg", "value"])
+    def test_one_operand_ops_refuse_two(self, capsys, op):
+        code, out, err = run(capsys, "fracpair", op, "1/2", "3/4")
+        assert (code, out) == (4, "")
+        assert f"fracpair {op} takes one operand" in err
+
+    def test_reads_sys_argv_without_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["fracterm", "fracpair", "add", "1/2", "-1/3"])
+        assert main() == 0
+        assert capsys.readouterr().out == "1/6\n"
 
     def test_mul_unreduced(self, capsys):
         assert run(capsys, "fracpair", "mul", "1/2", "2/3")[1] == "2/6\n"

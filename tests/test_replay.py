@@ -28,7 +28,7 @@ from fracterm.calculator import (
     NormalForm,
     Step,
     _Terms,
-    _trace_step,
+    _step_at,
     apply_rule,
     normalize_full,
     normalize_safe,
@@ -178,14 +178,23 @@ def _derivations(seed, count):
 
 
 def _entries(nf):
-    """The record of ``nf``'s trace as (rule, link, contractum, conditions) entries."""
-    return [(s.rule, *edit, s.conditions) for s, edit in zip(nf.trace, nf.trace[0]._terms.edits)]
+    """The record of ``nf``'s trace as (rule, edit, conditions) entries.
+
+    An edit is ``(link, build, *args)``, whose contractum is ``build(*args)``.
+    """
+    return [(s.rule, edit, s.conditions) for s, edit in zip(nf.trace, nf.trace[0]._terms.edits)]
 
 
 def _from_entries(root, entries):
     """Steps of a fresh record with ``root`` and the given entries, as the engine makes them."""
     record = _Terms(root)
-    return [_trace_step(record, rule, link, c, conds) for rule, link, c, conds in entries]
+    record.edits = [edit for _, edit, _ in entries]
+    return [_step_at(record, i, rule, conds) for i, (rule, _, conds) in enumerate(entries)]
+
+
+def _plus_zero(build, *args):
+    """``build(*args) + 0``: equal in value to that contractum, but another term."""
+    return Add(build(*args), ZERO)
 
 
 def _other_rule(rng, rule):
@@ -213,15 +222,15 @@ def _tamper_record(rng, nf, how):
     """Engine steps on a record of ``nf`` changed in one way ``how``."""
     entries = _entries(nf)
     k = rng.randrange(len(entries))
-    rule, link, c, conds = entries[k]
+    rule, (link, *contractum), conds = entries[k]
     if how == "rule":
-        entries[k] = (_other_rule(rng, rule), link, c, conds)
+        entries[k] = (_other_rule(rng, rule), (link, *contractum), conds)
     elif how == "position":
-        entries[k] = (rule, _moved_link(rng, link), c, conds)
+        entries[k] = (rule, (_moved_link(rng, link), *contractum), conds)
     elif how == "contractum":
-        entries[k] = (rule, link, Add(c, ZERO), conds)
+        entries[k] = (rule, (link, _plus_zero, *contractum), conds)
     elif how == "conditions":
-        entries[k] = (rule, link, c, _altered_conditions(rng, conds))
+        entries[k] = (rule, (link, *contractum), _altered_conditions(rng, conds))
     return _from_entries(nf.trace[0].before, entries)
 
 
