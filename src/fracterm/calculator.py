@@ -1,15 +1,15 @@
 """Normalization of closed terms to simplified flat fractions.
 
-Two normalizers share one bottom-up engine on one explicit stack; it refuses
-with :class:`DomainError` to expand a subterm 990 or more levels below the
-root (``_MAX_DEPTH``).  Every derivation step records the position rewritten,
-the rule applied, the numerals the step assumes nonzero, and the complete term
-before and after.  The engine itself builds no term but the result: it keeps
-each step's contractum as a constructor and the integers it takes, and its
-position as a link to its parent's.  A derivation's positions, contracta and
-complete terms are built when first read.  :func:`replay_derivation` and
-:meth:`NormalForm.to_json` build the contracta but no complete term: they walk
-one zipper over the contracta and links instead.
+Two normalizers share one bottom-up engine on one explicit stack, with no
+depth limit.  Every derivation step records the position rewritten, the rule
+applied, the numerals the step assumes nonzero, and the complete term before
+and after.  The engine itself builds no term but the result: it keeps each
+step's contractum as a constructor and the integers it takes, and its position
+as a link to its parent's.  A derivation builds its contracta when one is first
+read, and a step's position and complete terms when they are read: a read walks
+one zipper over the contracta and links to its step, from where the previous
+read left it.  :func:`replay_derivation` and :meth:`NormalForm.to_json` walk
+a zipper of their own from each run's first ``before``.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -109,12 +109,13 @@ class Step(_Frozen):
     """One rewrite: ``before`` becomes ``after`` by ``rule`` at ``position``.
 
     Immutable, and compared, hashed and shown by those four fields and
-    ``conditions``.  It reads its position and terms from a :class:`_Terms`
-    at its index there.  A step of a normal form's trace reads its
-    derivation's record, which keeps each step's contractum as a constructor
-    and its integers and builds the terms when first read; it pickles and
-    copies as its index and a reference to that shared record, so it stays
-    unread.  A hand-built step holds its terms and pickles by its five fields.
+    ``conditions``.  A step of a normal form's trace is edit ``_i`` of its
+    derivation's record ``_terms``, a :class:`_Terms`, which keeps each
+    step's contractum as a constructor and its integers and builds the terms
+    when they are read; it pickles and copies as its index and a reference to
+    that shared record, so it stays unread.  A hand-built step holds
+    ``(before, after, position)`` in ``_terms``, at index 0, and pickles by
+    its five fields.
     """
 
     __slots__ = ("rule", "conditions", "_terms", "_i")
@@ -123,16 +124,15 @@ class Step(_Frozen):
     def __init__(
         self, rule: str, position: Position, before: Term, after: Term, conditions=_NO_CONDITIONS
     ) -> None:
-        terms = _Terms(before)
-        terms.positions, terms.built = [position], [before, after]
         _set_rule(self, rule)
         _set_conditions(self, conditions)
-        _set_terms(self, terms)
+        _set_terms(self, (before, after, position))
         _set_i(self, 0)
 
     @property
     def position(self) -> Position:
-        return self._terms.position(self._i)
+        terms = self._terms
+        return terms[2] if type(terms) is tuple else _path(terms.edits[self._i][0])
 
     @property
     def before(self) -> Term:
@@ -156,7 +156,7 @@ class Step(_Frozen):
         }
 
     def __reduce__(self) -> tuple:
-        if self._i == len(self._terms.edits):  # a hand-built step
+        if type(self._terms) is tuple:  # a hand-built step
             return super().__reduce__()
         return _step_at, (self._terms, self._i, self.rule, self.conditions)
 
@@ -203,30 +203,26 @@ class _Terms:
 
     An edit keeps the step's position as a :data:`_Link` and its contractum
     as a module-level constructor and the integers it takes, so the engine
-    records a step without building a term.  A hand-built step has no edit
-    and holds its position and both terms instead.  The first read of a
-    position builds every step's position from its link, the first read of a
-    contractum builds every contractum (:meth:`contracta`), and the first read
-    of a whole term after the root builds every whole term in one
-    :class:`_Zipper` walk over the edits.  Steps point here, and this holds no
-    step, so an unread derivation is freed without the cycle collector.  It
-    pickles and copies as its root and edits, with every link written once
-    in a flat table, so loading builds nothing and keeps the links shared.
+    records a step without building a term.  The first read of a contractum
+    builds every contractum (:meth:`contracta`).  ``self[i]``, the whole term
+    before edit ``i``, walks a :class:`_Zipper` over the edits to edit ``i``:
+    from the cursor, where the last read left its zipper and the whole term
+    it built, if that is at or before ``i``, and from the root otherwise.
+    So reading every step in order walks each edit once.  A read takes the
+    cursor with ``list.pop()`` and appends it back when done, so two threads
+    never walk one zipper.  Steps point here, and this holds no step, so an
+    unread derivation is freed without the cycle collector.  It pickles and
+    copies as its root and edits, with every link written once in a flat
+    table, so loading builds nothing and keeps the links shared.
     """
 
-    __slots__ = ("root", "edits", "positions", "built", "_contracta")
+    __slots__ = ("root", "edits", "cursor", "_contracta")
 
     def __init__(self, root: Term):
         self.root = root
         self.edits: list[_Edit] = []
-        self.positions: list[Position] | None = None
-        self.built: list[Term] | None = None
+        self.cursor: list[tuple[int, _Zipper, Term]] = []
         self._contracta: list[Term] | None = None
-
-    def position(self, i: int) -> Position:
-        if self.positions is None:
-            self.positions = [_path(e[0]) for e in self.edits]
-        return self.positions[i]
 
     def contracta(self) -> list[Term]:
         """Each edit's contractum, all built on the first call."""
@@ -237,14 +233,19 @@ class _Terms:
     def __getitem__(self, i: int) -> Term:
         if i == 0:
             return self.root
-        if self.built is None:
-            z = _Zipper(self.root)
-            self.built = [self.root]
-            for e, new in zip(self.edits, self.contracta()):
+        try:
+            k, z, whole = self.cursor.pop()
+        except IndexError:
+            k = None
+        if k is None or k > i:
+            k, z = 0, _Zipper(self.root)
+        if k < i:
+            for e, new in zip(self.edits[k:i], self.contracta()[k:i]):
                 z.move(e[0])
                 z.focus = new
-                self.built.append(z.whole())
-        return self.built[i]
+            whole = z.whole()
+        self.cursor.append((i, z, whole))
+        return whole
 
     def __reduce__(self) -> tuple:
         # Each link is two table entries, its child index and its parent's
@@ -333,16 +334,6 @@ class _Zipper:
         return t
 
 
-def _opened(step: Step) -> _Zipper:
-    """A zipper on ``step.before``, walked from its record's root through the earlier edits."""
-    terms = step._terms
-    z = _Zipper(terms.root)
-    for e, contractum in zip(terms.edits[: step._i], terms.contracta()):
-        z.move(e[0])
-        z.focus = contractum
-    return z
-
-
 def _with_operand(node: Term, i: int, new: Term) -> Term:
     """``node`` with its operand ``i`` replaced by ``new``."""
     cls = type(node)
@@ -390,23 +381,24 @@ class NormalForm(_Record):
 def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[list[str], list[str]]]:
     """The JSON text pieces of each step's ``before`` and ``after``, at ``_STEP_TERM_LEVEL``.
 
-    Along one record a :class:`_Zipper` walks the edits, and ``starts`` holds
-    the index in ``text`` of the first piece of each node on its path.  An
-    operand's pieces start one after its parent's, the second operand's also
-    after the first operand's pieces and the one between them.  Consecutive
-    steps share the strings of the pieces they have in common.
+    A run of steps along one record opens a :class:`_Zipper` on its first
+    ``before`` and walks the edits, and ``starts`` holds the index in ``text``
+    of the first piece of each node on its path.  An operand's pieces start
+    one after its parent's, the second operand's also after the first
+    operand's pieces and the one between them.  Consecutive steps share the
+    strings of the pieces they have in common.
     """
     texts: list[tuple[list[str], list[str]]] = []
     prev = None
     for step in trace:
         terms, k = step._terms, step._i
-        if k == len(terms.edits):  # a hand-built step
+        if type(terms) is tuple:  # a hand-built step
             texts.append(tuple(_pieces(t, indent, _STEP_TERM_LEVEL) for t in (step.before, step.after)))
             prev = None
             continue
         if not _continues(prev, step):
-            z, starts, contracta = _opened(step), [0], terms.contracta()
-            text = _pieces(z.whole(), indent, _STEP_TERM_LEVEL)
+            z, starts, contracta = _Zipper(step.before), [0], terms.contracta()
+            text = _pieces(z.focus, indent, _STEP_TERM_LEVEL)
         prev = step
         contractum = contracta[k]
         del starts[z.move(terms.edits[k][0]) + 1 :]
@@ -513,22 +505,16 @@ def _div2(n: int, n2: int, l2: int) -> Div:
     return Div(Mul(Mul(signed_numeral(n), z), z), Mul(signed_numeral(n2), z))
 
 
-#: Nodes this many levels or more below the root are not expanded.  The engine
-#: itself needs no such limit, as a frame links to its parent's position and no
-#: step copies a path or a term; it stays until the trace formats have limits of
-#: their own.  An unsafe term that is also too deep is refused as unsafe in safe mode.
-_MAX_DEPTH = 990
-
-
 class _Stop(Exception):
-    """The engine met a zero denominator in safe mode, or ``_MAX_DEPTH``."""
+    """The engine met a zero denominator in safe mode."""
 
 
 class _Engine:
     """One innermost rewriting pass over a whole term, on one explicit stack.
 
-    A frame of ``run`` is ``(subterm, link, depth, embed, done)``, where ``link``
-    is the subterm's position as a :data:`_Link`.  A division-free
+    A frame of ``run`` is ``(subterm, link, embed, done)``, where ``link`` is
+    the subterm's position as a :data:`_Link`, so a frame copies no path and
+    the engine needs no depth limit.  A division-free
     subterm is evaluated on its first visit; any other is pushed again with
     ``done`` set, and then merges the shapes its operands left on ``shapes``.
     ``embed`` marks the root and the operands of ``+`` and ``*``, whose
@@ -593,9 +579,9 @@ class _Engine:
         values = self._record_values(t)
         merge = {Div: self._divide, Add: self._merge_sum, Mul: self._merge_product}
         shapes: list[int | _Frac] = []
-        stack: list[tuple[Term, _Link, int, bool, bool]] = [(t, None, 0, True, False)]
+        stack: list[tuple[Term, _Link, bool, bool]] = [(t, None, True, False)]
         while stack:
-            s, link, depth, embed, done = stack.pop()
+            s, link, embed, done = stack.pop()
             cls = type(s)
             if done:
                 if cls is Neg:
@@ -614,18 +600,15 @@ class _Engine:
                     v = v, 1
                 shapes.append(v)
                 continue
-            if depth >= _MAX_DEPTH:
-                raise _Stop
-            stack.append((s, link, depth, embed, True))
-            depth += 1
+            stack.append((s, link, embed, True))
             if cls is Neg:
-                stack.append((s.arg, (0, link), depth, False, False))
+                stack.append((s.arg, (0, link), False, False))
             elif cls is Div:
-                stack.append((s.denominator, (1, link), depth, False, False))
-                stack.append((s.numerator, (0, link), depth, False, False))
+                stack.append((s.denominator, (1, link), False, False))
+                stack.append((s.numerator, (0, link), False, False))
             else:
-                stack.append((s.right, (1, link), depth, True, False))
-                stack.append((s.left, (0, link), depth, True, False))
+                stack.append((s.right, (1, link), True, False))
+                stack.append((s.left, (0, link), True, False))
         result = _flat(*shapes[0]) if self.steps else t
         return NormalForm(result, self.conditions, self.steps)
 
@@ -708,17 +691,14 @@ class _Engine:
 def _normalize(t: Term, safe: bool) -> NormalForm:
     try:
         return _Engine(safe).run(t)
-    except _Stop:
-        offender = find_unsafe_fraction(t) if safe else None
-    if offender is not None:
-        pos, sub = offender
-        raise SafetyError(
-            f"unsafe term: fraction {to_text(sub)} at position {list(pos)} "
-            "has a denominator denoting zero",
-            term=sub,
-            position=pos,
-        )
-    raise DomainError("the term nests too deeply to normalize")
+    except _Stop:  # only in safe mode, so the term has an unsafe fraction
+        pos, sub = find_unsafe_fraction(t)
+    raise SafetyError(
+        f"unsafe term: fraction {to_text(sub)} at position {list(pos)} "
+        "has a denominator denoting zero",
+        term=sub,
+        position=pos,
+    )
 
 
 def normalize_full(t: Term) -> NormalForm:
@@ -848,9 +828,9 @@ def replay_derivation(steps: Derivation) -> Term:
     Each step's redex is re-contracted with its rule, whose recorded
     conditions must be exactly the numerals that rule instance assumes
     nonzero: ``{k}`` for ``FEQ``, the two denominators for ``CFAR`` and none
-    for any other rule.  The steps of one record are checked at their
-    redexes, in one :class:`_Zipper` walk over its edits, and a hand-built
-    step's whole ``after`` must match as well.  A step that does not continue
+    for any other rule.  A run of steps along one record is checked at their
+    redexes, in one :class:`_Zipper` walk over its edits from the run's first
+    ``before``, and a hand-built step's whole ``after`` must match as well.  A step that does not continue
     the previous step's record must start from the term the previous step
     left.  A step that does not reproduce or chain raises :class:`MatchError`;
     an empty derivation raises :class:`DomainError`.
@@ -861,13 +841,13 @@ def replay_derivation(steps: Derivation) -> Term:
     for i, step in enumerate(steps):
         terms, k = step._terms, step._i
         if not _continues(prev, step):
-            previous, z, contracta = z, _opened(step), terms.contracta()
-            if previous is not None and not eq_syn(previous.whole(), z.whole()):
+            previous, z = z, _Zipper(step.before)
+            if previous is not None and not eq_syn(previous.whole(), z.focus):
                 raise MatchError(f"step {i} does not chain from step {i - 1}")
         prev = step
-        if k < len(terms.edits):
+        if type(terms) is not tuple:
             z.move(terms.edits[k][0])
-            contractum, after = contracta[k], None
+            contractum, after = terms.contracta()[k], None
         else:  # a hand-built step, whose whole ``after`` must match
             z.descend(step.position)
             after = step.after

@@ -249,7 +249,8 @@ def term_from_json_obj(obj: Any) -> Term:
 # The deepest nesting of JSON containers (objects and lists) any output may
 # have.  A sum of n ones nests 2n - 1 deep as a term, so ``parse --json``
 # encodes 495 ones (989 deep) and ``normalize --trace``, whose terms sit
-# three containers in, 494 (990 deep).
+# three containers in, 494 (990 deep).  Only terms are checked: no output
+# nests its own dicts and lists more than three deep.
 _MAX_JSON_DEPTH = 990
 _TOO_DEEP = "term nests too deeply for JSON output"
 
@@ -292,8 +293,8 @@ def _separator(indent: int | None) -> str:
 def _dumps(obj: Any, indent: int | None = None) -> str:
     """``json.dumps(obj, indent=indent)``, with each term encoded as :func:`term_to_json_obj`.
 
-    Integers past the int/str limit and nesting deeper than
-    ``_MAX_JSON_DEPTH`` containers raise :class:`DomainError`.
+    Integers past the int/str limit and terms nesting ``_MAX_JSON_DEPTH``
+    containers deep raise :class:`DomainError`.
     """
     return "".join(_pieces(obj, indent))
 
@@ -332,8 +333,6 @@ def _pieces(obj: Any, indent: int | None, level: int = 0) -> list[str]:
                 left, right = (value.numerator, value.denominator) if cls is Div else (value.left, value.right)
                 stack += ((right, level + 2), between, (left, level + 2))
         elif cls is dict or cls is list:
-            if level >= _MAX_JSON_DEPTH:
-                raise DomainError(_TOO_DEEP)
             opening, closing = "{}" if cls is dict else "[]"
             if not value:
                 out.append(opening + closing)

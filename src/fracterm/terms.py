@@ -14,6 +14,7 @@ are; so no traversal here is bounded by the interpreter's recursion limit.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import reduce
 from typing import Any, TypeAlias
 
@@ -106,13 +107,28 @@ class _Record:
 
 
 def _leaf_repr(v: object) -> str:
-    """``repr(v)``, or its bit length for an int past Python's int/str limit."""
+    """``repr(v)``, with each int past Python's int/str limit shown by its bit length.
+
+    Such an int may also sit in a ``Fraction``, or in a set, dict, list or
+    tuple, which is then shown item by item.
+    """
     try:
         return repr(v)
     except ValueError:
-        if not isinstance(v, int):
+        if not isinstance(v, (int, Fraction, dict, list, tuple, set, frozenset)):
             raise
+    if isinstance(v, int):
         return f"{'-' * (v < 0)}<int of {v.bit_length()} bits>"
+    if isinstance(v, Fraction):
+        return f"Fraction({_leaf_repr(v.numerator)}, {_leaf_repr(v.denominator)})"
+    if isinstance(v, dict):
+        return "{" + ", ".join(f"{_leaf_repr(k)}: {_leaf_repr(x)}" for k, x in v.items()) + "}"
+    items = ", ".join(map(_leaf_repr, v))
+    if isinstance(v, list):
+        return f"[{items}]"
+    if isinstance(v, tuple):
+        return f"({items}{',' * (len(v) == 1)})"
+    return f"frozenset({{{items}}})" if isinstance(v, frozenset) else f"{{{items}}}"
 
 
 class _Frozen(_Record):

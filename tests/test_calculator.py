@@ -7,10 +7,13 @@ import json
 import math
 import pickle
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
+from fracterm import calculator
 from fracterm.calculator import (
     RULE_CFAR,
     RULE_CR_EMBED,
@@ -44,6 +47,7 @@ from fracterm.terms import (
     Numeral,
     Var,
     as_signed_numeral,
+    depth,
     eq_syn,
     node_count,
     postorder,
@@ -599,9 +603,9 @@ class TestLocalSteps:
         links = lambda r: len({id(e[0]) for e in r.edits})
         assert links(loaded) == links(record)
         for r in (record, loaded):
-            assert r._contracta is None and r.built is None and r.positions is None
+            assert r._contracta is None and r.cursor == []
         assert eq_syn(replay_derivation(twin.trace), nf.result)
-        assert loaded.built is None
+        assert loaded.cursor == []
 
     @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
     def test_step_to_json_obj(self, normalize):
@@ -685,6 +689,101 @@ class TestLocalSteps:
                 tracemalloc.stop()
 
         assert retained(400) < 2.5 * retained(200)
+
+
+
+MIXED = "-(1/2) + 3/(-6) + (4/6)/(2/3) + 5*(1+1/2) + 1/(2/(-3))"
+
+
+def _hand_built(step):
+    return Step(step.rule, step.position, step.before, step.after, step.conditions)
+
+
+class TestReads:
+    """A read walks a zipper to its step, from where the previous read left it."""
+
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_reading_in_order_moves_once_per_edit(self, monkeypatch, normalize):
+        nf = normalize(_continued_fraction(100))
+        moves = []
+        move = calculator._Zipper.move
+        monkeypatch.setattr(calculator._Zipper, "move", lambda z, link: moves.append(link) or move(z, link))
+        terms = [(s.before, s.after) for s in nf.trace]
+        assert len(moves) == len(nf.trace)
+        assert eq_syn(terms[-1][1], nf.result)
+        for (_, after), (before, _) in zip(terms, terms[1:]):
+            assert after is before
+
+    @pytest.mark.parametrize(
+        "make", [lambda: _harmonic(200), lambda: _continued_fraction(100)],
+        ids=["harmonic_200", "continued_100"],
+    )
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_one_read_builds_the_contracta_and_one_spine(self, count_nodes, normalize, make):
+        # The parent built every step's whole term here, steps × depth nodes.
+        t = make()
+        nf = normalize(t)
+        built = count_nodes()
+        nf.trace[1].after
+        contracta = {id(s) for c in nf.trace[0]._terms.contracta() for s in postorder(c)}
+        others = [b for b in built if id(b) not in contracta]
+        assert len(built) - len(others) == len(contracta)
+        assert 0 < len(others) <= depth(t)
+
+    def test_threads_reading_one_trace(self):
+        # Each read takes the cursor from its list, so two reads never walk one zipper.
+        t = _harmonic(60)
+        expected = [(s.before, s.after) for s in normalize_safe(t).trace]
+        nf = normalize_safe(t)
+        n = len(nf.trace)
+        orders = [
+            range(n),
+            range(n - 1, -1, -1),
+            random.Random(5).sample(range(n), n),
+            [*range(0, n, 3), *range(1, n, 3), *range(2, n, 3)],
+        ]
+        wrong, errors = [], []
+
+        def read(order):
+            try:
+                for _ in range(5):
+                    for i in order:
+                        step = nf.trace[i]
+                        if not (eq_syn(step.after, expected[i][1]) and eq_syn(step.before, expected[i][0])):
+                            wrong.append(i)
+            except Exception as exc:  # a broken walk may raise anything
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(order,)) for order in orders]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and wrong == []
+
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_hand_built_copy_writes_the_same_json(self, normalize):
+        nf = normalize(parse(MIXED))
+        copied = NormalForm(nf.result, nf.conditions, [_hand_built(s) for s in nf.trace])
+        assert copied.to_json() == nf.to_json()
+        assert copied.to_json(indent=None) == nf.to_json(indent=None)
+        assert eq_syn(replay_derivation(copied.trace), nf.result)
+
+    @pytest.mark.parametrize("indent", [2, None])
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_mixed_and_sliced_traces_write_their_json(self, normalize, indent):
+        nf = normalize(parse(MIXED))
+        k = len(nf.trace) // 2
+        mixed = [*nf.trace[:k], _hand_built(nf.trace[k]), *nf.trace[k + 1 :]]
+        for trace in (mixed, nf.trace[k:]):
+            form = NormalForm(nf.result, nf.conditions, trace)
+            assert form.to_json(indent) == json.dumps(form.to_json_obj(), indent=indent)
+            assert eq_syn(replay_derivation(trace), nf.result)
 
 
 def _normal_form_with_reads(text, reads):

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from fracterm.calculator import (
+    RULE_DBZ,
     find_unsafe_fraction,
     normalize_full,
     normalize_safe,
@@ -35,6 +36,7 @@ from fracterm.terms import (
     Add,
     Div,
     Neg,
+    Numeral,
     ONE,
     ZERO,
     depth,
@@ -59,8 +61,7 @@ def ones_sum(n):
     return t
 
 
-def neg_chain(n):
-    t = ONE
+def neg_chain(n, t=ONE):
     for _ in range(n):
         t = Neg(t)
     return t
@@ -222,32 +223,66 @@ def _called_deep(f, frames):
     return descend(frames - depth - 1)
 
 
-class TestNormalizerDepth:
-    # Only nodes at positions shorter than 990 entries are expanded, and the
-    # innermost fraction of depth d sits at 2(d - 1): 495 normalizes, 496 not.
+def harmonic(n):
+    """``1/1 + 1/2 + … + 1/n``, nested to the left."""
+    t = Div(ONE, ONE)
+    for k in range(2, n + 1):
+        t = Add(t, Div(ONE, Numeral(k)))
+    return t
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError, match="nests too deeply to normalize"):
-            normalize_safe(continued_fraction(496))
+
+def flat(v):
+    """The normal form of the rational ``v``."""
+    return Div(signed_numeral(v.numerator), Numeral(v.denominator))
+
+
+def continued_value(d):
+    v = Fraction(1)
+    for _ in range(d):
+        v = 1 / (1 + v)
+    return v
+
+
+PAST_THE_OLD_LIMIT = {
+    "continued_496": (lambda: continued_fraction(496), lambda: continued_value(496)),
+    "continued_2000": (lambda: continued_fraction(2000), lambda: continued_value(2000)),
+    "harmonic_991": (lambda: harmonic(991), lambda: sum(Fraction(1, k) for k in range(1, 992))),
+    "minus_10000": (lambda: neg_chain(10_000, Div(ONE, Numeral(2))), lambda: Fraction(1, 2)),
+}
+
+
+class TestNormalizerDepth:
+    # The engine has no depth limit: a frame links to its parent's position,
+    # and reading a step walks a zipper to it, so nothing costs steps × depth.
+
+    @pytest.mark.parametrize("name", sorted(PAST_THE_OLD_LIMIT))
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_normalizes_past_the_old_limit(self, normalize, name):
+        make, value = PAST_THE_OLD_LIMIT[name]
+        nf = normalize(make())
+        assert eq_syn(nf.result, flat(value()))
+        assert eq_syn(replay_derivation(nf.trace), nf.result)
 
     def test_cli_exit_code(self, capsys):
-        assert main(["normalize", to_text(continued_fraction(496))]) == 4
-        assert "nests too deeply to normalize" in capsys.readouterr().err
+        assert main(["normalize", to_text(continued_fraction(496))]) == 0
+        assert capsys.readouterr().out.startswith(to_text(flat(continued_value(496))) + "\n")
         assert main(["normalize", to_text(continued_fraction(496, UNSAFE))]) == 3
         assert "unsafe term" in capsys.readouterr().err
 
-    def test_safety_beats_depth(self):
-        # In safe mode an unsafe term too deep to normalize is refused as unsafe,
-        # whether its zero denominator is a numeral or only computed below the limit.
+    @pytest.mark.parametrize("d", [496, 2000])
+    def test_unsafe_leaf_deep_down(self, d):
+        # Safe mode names the innermost fraction, whether its zero denominator
+        # is a numeral or computed; full mode collapses it with DBZ.
         for leaf in (UNSAFE, parse("1/(1/2 - 1/2)")):
-            t = continued_fraction(496, leaf)
+            t = continued_fraction(d, leaf)
             with pytest.raises(SafetyError) as exc_info:
                 normalize_safe(t)
-            assert exc_info.value.position == (1, 1) * 496
-            with pytest.raises(DomainError, match="nests too deeply to normalize"):
-                normalize_full(t)
+            assert exc_info.value.position == (1, 1) * d
+            nf = normalize_full(t)
+            assert RULE_DBZ in {s.rule for s in nf.trace}
+            assert eq_syn(nf.result, flat(evaluate(t, Q0())))
         with pytest.raises(SafetyError) as exc_info:
-            normalize_safe(Add(UNSAFE, continued_fraction(496)))
+            normalize_safe(Add(UNSAFE, continued_fraction(d)))
         assert exc_info.value.position == (0,)
 
     def test_limit_ignores_callers_stack(self):

@@ -68,6 +68,7 @@ class TestParse:
         ("3_/2", "malformed mixed literal (at column 0)", 0),
         ("1//2", "unexpected token '/' (at column 2)", 2),
         ("#", "unexpected character '#' (at column 0)", 0),
+        ("\u0661/2", "only ASCII input is supported", None),
     ]
 
     @pytest.mark.parametrize(

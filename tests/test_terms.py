@@ -1,14 +1,15 @@
 """Tests for the term algebra: construction, traversal, syntactic equality."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fracterm.calculator import apply_rule, normalize_safe
+from fracterm.calculator import EqualityEvidence, apply_rule, normalize_safe
 from fracterm.errors import PositionError
 from fracterm.fracpairs import Fracpair
-from fracterm.meadows import CommonQ, Gfp, Q0, denote
+from fracterm.meadows import CommonQ, Gfp, Q0, check_identity, denote
 from fracterm.syntax import parse
 from fracterm.terms import (
     Add,
@@ -16,6 +17,7 @@ from fracterm.terms import (
     Mul,
     Neg,
     Numeral,
+    ONE,
     Var,
     as_signed_numeral,
     depth,
@@ -80,6 +82,60 @@ class TestConstruction:
         assert repr(Fracpair(-n, 1)) == f"Fracpair(num=-{summary}, den=1)"
         assert repr(Numeral(10**4299)) == f"Numeral(value={10**4299})"
 
+    def test_repr_past_the_digit_limit_inside_containers(self):
+        # Conditions are a set, a trace a list, a counterexample a dict of Fractions.
+        n = (10**3000 - 1) ** 2
+        summary = f"<int of {n.bit_length()} bits>"
+        nf = normalize_safe(parse("1/(" + "9" * 3000 + "*" + "9" * 3000 + ")"))
+        text = repr(nf)
+        assert f"conditions={{{summary}}}, trace=[Step(rule='CR-eval'" in text
+        after = f"Div(numerator=Numeral(value=1), denominator=Numeral(value={summary}))"
+        assert text.endswith(f"after={after}, conditions=frozenset())])")
+        big = 10**5000
+        report = check_identity(parse("x"), parse("x+1"), [], Q0(), [{"x": Fraction(big)}])
+        summary = f"<int of {big.bit_length()} bits>"
+        assert repr(report).endswith(f"counterexample={{'x': Fraction({summary}, 1)}})")
+        shown = [
+            ((big,), f"({summary},)"),
+            ((1, -big), f"(1, -{summary})"),
+            (frozenset({big}), f"frozenset({{{summary}}})"),
+            (Fraction(1, big), f"Fraction(1, {summary})"),
+            ([{"a": big}], f"[{{'a': {summary}}}]"),
+        ]
+        for value, text in shown:
+            shown_as = f"EqualityEvidence(equal={text}, left=None, right=None)"
+            assert repr(EqualityEvidence(value, None, None)) == shown_as
+
+    def test_repr_of_a_value_that_cannot_be_shown_raises(self):
+        class Unshown:
+            def __repr__(self):
+                raise ValueError("not shown")
+
+        with pytest.raises(ValueError, match="not shown"):
+            repr(EqualityEvidence(Unshown(), None, None))
+
+
+class TestRecord:
+    def test_fields_each_once(self):
+        EqualityEvidence(True, left=None, right=None)
+        too_few, twice, unknown = (True, None), (True, None, None), (True,)
+        for args, kwargs in [(too_few, {}), (twice, {"left": None}), (unknown, {"left": None, "other": None})]:
+            with pytest.raises(TypeError, match="takes the fields"):
+                EqualityEvidence(*args, **kwargs)
+
+    def test_compares_only_with_its_own_type(self):
+        e = EqualityEvidence(True, None, None)
+        assert e.__eq__((True, None, None)) is NotImplemented
+        assert e != (True, None, None) and e == EqualityEvidence(True, None, None)
+
+    def test_repr_of_a_record_inside_itself(self):
+        e = EqualityEvidence(True, None, None)
+        e.left = e
+        assert repr(e) == "EqualityEvidence(equal=True, left=..., right=None)"
+        e.right = EqualityEvidence(False, e, None)
+        inner = "EqualityEvidence(equal=False, left=..., right=None)"
+        assert repr(e) == f"EqualityEvidence(equal=True, left=..., right={inner})"
+
 
 class TestExpandNumeral:
     def test_three_is_left_nested(self):
@@ -125,6 +181,10 @@ class TestClosednessAndEquality:
 
     def test_eq_syn_distinguishes_equivalent_fractions(self):
         assert not eq_syn(Div(Numeral(1), Numeral(2)), Div(Numeral(2), Numeral(4)))
+
+    def test_eq_syn_distinguishes_variables(self):
+        assert not eq_syn(Var("x"), Var("y"))
+        assert not eq_syn(Div(ONE, Var("x")), Div(ONE, Var("y")))
 
     def test_numeral_is_not_a_sum_of_units(self):
         assert not eq_syn(Numeral(2), Add(Numeral(1), Numeral(1)))
