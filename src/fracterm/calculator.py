@@ -44,7 +44,7 @@ from typing import Any
 
 from .errors import DomainError, EvalError, MatchError, PositionError, SafetyError
 from .meadows import Q0, _pair, evaluate
-from .syntax import _dumps, _piece_count, _pieces, _Rendered, term_to_json_obj, to_text
+from .syntax import _check_length, _dumps, _measure, _pieces, _Rendered, term_to_json_obj, to_text
 from .terms import (
     Add,
     Div,
@@ -143,13 +143,14 @@ class Step(_Frozen):
         return self._terms[self._i + 1]
 
     def to_json_obj(self) -> dict:
-        return self._json_layout(term_to_json_obj(self.before), term_to_json_obj(self.after))
+        before, after = term_to_json_obj(self.before), term_to_json_obj(self.after)
+        return self._json_layout(before, after, list(self.position))
 
-    def _json_layout(self, before: Any, after: Any) -> dict:
+    def _json_layout(self, before: Any, after: Any, position: list[int]) -> dict:
         """The JSON object of this step, with ``before`` and ``after`` as its terms."""
         return {
             "rule": self.rule,
-            "position": list(self.position),
+            "position": position,
             "before": before,
             "after": after,
             "conditions": sorted(self.conditions),
@@ -205,10 +206,12 @@ class _Terms:
     as a module-level constructor and the integers it takes, so the engine
     records a step without building a term.  The first read of a contractum
     builds every contractum (:meth:`contracta`).  ``self[i]``, the whole term
-    before edit ``i``, walks a :class:`_Zipper` over the edits to edit ``i``:
-    from the cursor, where the last read left its zipper and the whole term
-    it built, if that is at or before ``i``, and from the root otherwise.
-    So reading every step in order walks each edit once.  A read takes the
+    before edit ``i``, moves a :class:`_Zipper` from the cursor, where the
+    last read left it with the whole term it built and the focus each edit
+    it walked replaced.  A read after the cursor walks on over the edits,
+    and a read before it undoes edits, plugging each replaced focus back in.
+    So reading every step in order, or last-first, walks each edit at most
+    twice.  A read takes the
     cursor with ``list.pop()`` and appends it back when done, so two threads
     never walk one zipper.  Steps point here, and this holds no step, so an
     unread derivation is freed without the cycle collector.  It pickles and
@@ -221,7 +224,7 @@ class _Terms:
     def __init__(self, root: Term):
         self.root = root
         self.edits: list[_Edit] = []
-        self.cursor: list[tuple[int, _Zipper, Term]] = []
+        self.cursor: list[tuple[int, _Zipper, Term, list[Term]]] = []
         self._contracta: list[Term] | None = None
 
     def contracta(self) -> list[Term]:
@@ -234,17 +237,20 @@ class _Terms:
         if i == 0:
             return self.root
         try:
-            k, z, whole = self.cursor.pop()
+            k, z, whole, replaced = self.cursor.pop()
         except IndexError:
-            k = None
-        if k is None or k > i:
-            k, z = 0, _Zipper(self.root)
-        if k < i:
-            for e, new in zip(self.edits[k:i], self.contracta()[k:i]):
-                z.move(e[0])
-                z.focus = new
+            k, z, replaced = 0, _Zipper(self.root), []
+        if k != i:
+            edits, contracta = self.edits, self.contracta()
+            for j in range(k, i):
+                z.move(edits[j][0])
+                replaced.append(z.focus)
+                z.focus = contracta[j]
+            for j in reversed(range(i, k)):
+                z.move(edits[j][0])
+                z.focus = replaced.pop()
             whole = z.whole()
-        self.cursor.append((i, z, whole))
+        self.cursor.append((i, z, whole, replaced))
         return whole
 
     def __reduce__(self) -> tuple:
@@ -294,21 +300,28 @@ class _Zipper:
 
     def move(self, link: _Link) -> int:
         """Focus the subterm at ``link``; return how many nodes of the path stay on it."""
-        down: list[_Link] = []
+        path, depths, down = self.path, self.depths, []
         while link is not None:
-            kept = self.depths.get(id(link))
+            kept = depths.get(id(link))
             if kept is not None:
                 break
             down.append(link)
             link = link[1]
         else:
             kept = 0
-        while len(self.path) > kept:
-            node, i, up = self.path.pop()
-            del self.depths[id(up)]
-            self.focus = _with_operand(node, i, self.focus)
+        focus = self.focus
+        while len(path) > kept:
+            node, i, up = path.pop()
+            del depths[id(up)]
+            focus = _with_operand(node, i, focus)
         for link in reversed(down):
-            self._down(link)
+            i, kids = link[0], children(focus)
+            if type(i) is not int or not 0 <= i < len(kids):
+                raise MatchError(f"no operand {i!r} of {type(focus).__name__} to rewrite at")
+            path.append((focus, i, link))
+            depths[id(link)] = len(path)
+            focus = kids[i]
+        self.focus = focus
         return kept
 
     def descend(self, pos: Position) -> None:
@@ -316,15 +329,7 @@ class _Zipper:
         if not isinstance(pos, (tuple, list)):
             raise MatchError(f"a position is a list of child indices, got {pos!r}")
         for i in pos:
-            self._down((i, self.path[-1][2] if self.path else None))
-
-    def _down(self, link: tuple[int, _Link]) -> None:
-        i, kids = link[0], children(self.focus)
-        if type(i) is not int or not 0 <= i < len(kids):
-            raise MatchError(f"no operand {i!r} of {type(self.focus).__name__} to rewrite at")
-        self.path.append((self.focus, i, link))
-        self.depths[id(link)] = len(self.path)
-        self.focus = kids[i]
+            self.move((i, self.path[-1][2] if self.path else None))
 
     def whole(self) -> Term:
         """The whole term, with the focus plugged in."""
@@ -365,12 +370,12 @@ class NormalForm(_Record):
     def to_json(self, indent: int | None = 2) -> str:
         """``json.dumps(self.to_json_obj(), indent=indent)``, rendered from the terms.
 
-        A step that continues the previous step's record writes its ``after``
-        by splicing the rendered contractum into its ``before``, which is the
-        previous ``after``; any other step's terms are rendered whole.
+        Each step's terms come from :func:`_step_texts`, and ``syntax._dumps``
+        lays out the objects around them.  Text longer than
+        ``syntax._MAX_JSON_BYTES`` raises :class:`DomainError`.
         """
         texts = _step_texts(self.trace, indent)
-        steps = [s._json_layout(_Rendered(b), _Rendered(a)) for s, (b, a) in zip(self.trace, texts)]
+        steps = [s._json_layout(*text) for s, text in zip(self.trace, texts)]
         return _dumps(self._json_layout(self.result, steps), indent)
 
     def _json_layout(self, result: Any, steps: list) -> dict:
@@ -378,36 +383,65 @@ class NormalForm(_Record):
         return {"result": result, "conditions": sorted(self.conditions), "steps": steps}
 
 
-def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[list[str], list[str]]]:
-    """The JSON text pieces of each step's ``before`` and ``after``, at ``_STEP_TERM_LEVEL``.
+def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[_Rendered, _Rendered, list[int]]]:
+    """Each step's ``before`` and ``after`` as JSON text pieces at ``_STEP_TERM_LEVEL``, and its position.
 
-    A run of steps along one record opens a :class:`_Zipper` on its first
-    ``before`` and walks the edits, and ``starts`` holds the index in ``text``
-    of the first piece of each node on its path.  An operand's pieces start
-    one after its parent's, the second operand's also after the first
-    operand's pieces and the one between them.  Consecutive steps share the
-    strings of the pieces they have in common.
+    A run of steps along one record renders its first ``before`` and walks a
+    :class:`_Zipper` over the edits.  A step renders its contractum between
+    copies of the pieces around the redex, and ``after`` is the next
+    ``before``.  ``spans`` holds, for each node on the path and the focus,
+    the index of its first piece and how many pieces follow its last; edits
+    inside a node keep both.  An operator's opening, separator and closing
+    are one piece each, so an operand's span follows from its parent's and
+    from the operand the walk came up from, or the other operand's count
+    (:func:`syntax._measure`, which counts each node once per run).  The
+    bytes written are counted as they grow, so a refusal holds little more
+    than the limit.
     """
-    texts: list[tuple[list[str], list[str]]] = []
-    prev = None
+    texts: list[tuple[_Rendered, _Rendered, list[int]]] = []
+    written, prev = 0, None
     for step in trace:
         terms, k = step._terms, step._i
         if type(terms) is tuple:  # a hand-built step
-            texts.append(tuple(_pieces(t, indent, _STEP_TERM_LEVEL) for t in (step.before, step.after)))
-            prev = None
-            continue
-        if not _continues(prev, step):
-            z, starts, contracta = _Zipper(step.before), [0], terms.contracta()
-            text = _pieces(z.focus, indent, _STEP_TERM_LEVEL)
+            before, after = (_Rendered(_pieces(t, indent, _STEP_TERM_LEVEL, [])) for t in terms[:2])
+            written += sum(map(len, before.pieces)) + sum(map(len, after.pieces))
+            texts.append((before, after, list(step.position)))
+        else:
+            if not _continues(prev, step):
+                z, spans, pos, sizes = _Zipper(step.before), [(0, 0)], [], {}
+                contracta, edits = terms.contracta(), terms.edits
+                after = _Rendered(_pieces(z.focus, indent, _STEP_TERM_LEVEL, []))
+                length = sum(map(len, after.pieces))
+            kept, before = z.move(edits[k][0]), after
+            text = before.pieces
+            came = (pos[kept], spans[kept + 1]) if kept < len(pos) else None  # the operand left
+            del spans[kept + 1 :], pos[kept:]
+            for node, i, _ in z.path[kept:]:
+                s, t = spans[-1]
+                if came and came[0] == i:
+                    span = came[1]
+                elif type(node) is Neg:
+                    span = s + 1, t + 1
+                elif i == 0:  # it ends where the separator before the second operand starts
+                    rest = len(text) - came[1][0] if came else t + 1 + _measure(children(node)[1], sizes)
+                    span = s + 1, rest + 1
+                else:  # it starts after the first operand and the separator
+                    first = len(text) - came[1][1] if came else s + 1 + _measure(children(node)[0], sizes)
+                    span = first + 1, t + 1
+                spans.append(span)
+                pos.append(i)
+                came = None
+            start, tail = spans[-1]
+            end, z.focus = len(text) - tail, contracta[k]
+            new = _pieces(z.focus, indent, _STEP_TERM_LEVEL + 2 * len(z.path), [])
+            sizes[id(z.focus)] = z.focus, len(new)
+            after = _Rendered(text[:start] + new + text[end:])
+            written += length
+            length += sum(map(len, new)) - sum(map(len, text[start:end]))
+            written += length
+            texts.append((before, after, pos[:]))
+        _check_length(written)
         prev = step
-        contractum = contracta[k]
-        del starts[z.move(terms.edits[k][0]) + 1 :]
-        for node, i, _ in z.path[len(starts) - 1 :]:
-            starts.append(starts[-1] + (_piece_count(children(node)[0]) + 2 if i else 1))
-        start, level = starts[-1], _STEP_TERM_LEVEL + 2 * len(z.path)
-        after = text[:start] + _pieces(contractum, indent, level) + text[start + _piece_count(z.focus) :]
-        texts.append((text, after))
-        text, z.focus = after, contractum
     return texts
 
 

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DomainError, ParseError
-from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, postorder
+from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, children, postorder
 
 __all__ = [
     "parse",
@@ -254,6 +254,16 @@ def term_from_json_obj(obj: Any) -> Term:
 _MAX_JSON_DEPTH = 990
 _TOO_DEEP = "term nests too deeply for JSON output"
 
+# The longest JSON text any output may have, in bytes.  An indented trace
+# grows with the cube of a continued fraction's depth (622 MB at depth 100);
+# harmonic n = 100's (86 MB) fits.
+_MAX_JSON_BYTES = 2**27
+
+
+def _check_length(n: int) -> None:
+    if n > _MAX_JSON_BYTES:
+        raise DomainError(f"JSON output exceeds the limit of {_MAX_JSON_BYTES} bytes")
+
 
 def _term_layout(cls: type, level: int, indent: int | None) -> tuple[str, str, str]:
     """The text before, between and after the operands of a ``cls`` node at ``level``.
@@ -290,93 +300,155 @@ def _separator(indent: int | None) -> str:
     return ", " if indent is None else ","
 
 
+def _frame(level: int, indent: int | None, keys: tuple = ()) -> tuple:
+    """A list's text before its first entry, before each later one and after its last, cached.
+
+    With ``keys``, a dict's: each entry's label, with its key, and the text after the last.
+    """
+    head, sep, end = _newline(indent, level + 1), _separator(indent), _newline(indent, level)
+    if keys:
+        labels = [(sep if i else "{") + head + encode_basestring_ascii(k) + ": " for i, k in enumerate(keys)]
+        frame = (labels, end + "}")
+    else:
+        frame = ("[" + head, sep + head, end + "]")
+    if len(_FRAMES) >= 4096:  # dict keys, such as variable names, are unbounded
+        _FRAMES.clear()
+    _FRAMES[keys, level, indent] = frame
+    return frame
+
+
+_FRAMES: dict[tuple, tuple] = {}
+_INTS = {int}
+
+
 def _dumps(obj: Any, indent: int | None = None) -> str:
     """``json.dumps(obj, indent=indent)``, with each term encoded as :func:`term_to_json_obj`.
 
-    Integers past the int/str limit and terms nesting ``_MAX_JSON_DEPTH``
-    containers deep raise :class:`DomainError`.
+    One loop writes dicts, lists, strings, integers, booleans, ``None``, terms
+    (:func:`_pieces`) and :class:`_Rendered` pieces straight from the tree, with
+    each container's labels from its :func:`_frame` and a list of integers in
+    one ``join``: a few operations per entry, and one copy of the text, in the
+    final ``join``.  Integers past the int/str limit, terms nesting
+    ``_MAX_JSON_DEPTH`` containers deep and text longer than
+    ``_MAX_JSON_BYTES`` raise :class:`DomainError`.
     """
-    return "".join(_pieces(obj, indent))
-
-
-def _pieces(obj: Any, indent: int | None, level: int = 0) -> list[str]:
-    """The pieces of :func:`_dumps`'s text for ``obj``, as if it sat ``level`` containers deep.
-
-    One explicit stack renders dicts, lists, strings, integers, booleans,
-    ``None``, terms and :class:`_Rendered` pieces, straight from the tree.  A
-    term's pieces are its own: a leaf gives one, and an operator one before,
-    one between and one after its operands', so :func:`_piece_count` finds
-    where each subterm's pieces start.
-    """
-    sep = _separator(indent)
     out: list[str] = []
-    # Pieces of text, and (value, level) to render.
-    stack: list[Any] = [(obj, level)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        value, level = item
-        cls = type(value)
-        if cls is Numeral or cls is Var:
-            before, _, after = _term_layout(cls, level, indent)
-            leaf = _decimal(value.value) if cls is Numeral else encode_basestring_ascii(value.name)
-            out.append(before + leaf + after)
-        elif cls in _OP_NAMES:
-            before, between, after = _term_layout(cls, level, indent)
+    # The containers entered: the rest of each one's (label, value) entries,
+    # the level of its values and its closing text.
+    stack: list[tuple[Any, int, str]] = []
+    entries, level, closing = iter((("", obj),)), 0, ""
+    while True:
+        for label, value in entries:
+            out.append(label)
+            cls = type(value)
+            if cls is _Rendered:
+                out += value.pieces
+            elif cls is list or cls is dict:
+                if not value:
+                    out.append("[]" if cls is list else "{}")
+                    continue
+                if cls is dict:
+                    keys = tuple(value)
+                    labels, inner = _FRAMES.get((keys, level, indent)) or _frame(level, indent, keys)
+                    value = value.values()
+                else:
+                    first, rest, inner = _FRAMES.get(((), level, indent)) or _frame(level, indent)
+                    if {*map(type, value)} == _INTS:
+                        out.append(first + rest.join(map(_decimal, value)) + inner)
+                        continue
+                    labels = [first] + [rest] * (len(value) - 1)
+                stack.append((entries, level, closing))
+                entries, level, closing = zip(labels, value), level + 1, inner
+                break
+            elif cls is str:
+                out.append(encode_basestring_ascii(value))
+            elif cls is int:
+                out.append(_decimal(value))
+            elif cls in _OP_NAMES or cls is Numeral or cls is Var:
+                _pieces(value, indent, level, out)
+            elif cls is bool or value is None:
+                out.append("null" if value is None else "true" if value else "false")
+            else:
+                raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
+        else:
+            out.append(closing)
+            if not stack:
+                text = "".join(out)
+                _check_length(len(text))
+                return text
+            entries, level, closing = stack.pop()
+
+
+def _pieces(t: Term, indent: int | None, level: int, out: list[str]) -> list[str]:
+    """Append the pieces of ``t``'s JSON text at ``level`` to ``out``, and return ``out``.
+
+    A leaf is one piece, and an operator one before, one between (but for
+    ``Neg``) and one after its operands', so ``n`` nodes are ``2n - 1`` pieces.
+    The walk goes down left operands; its stack holds the text after each
+    open operator, and each pending right operand with the text before it.
+    """
+    stack: list[Any] = []
+    while True:
+        cls = type(t)
+        before, between, after = _LAYOUTS.get((cls, level, indent)) or _term_layout(cls, level, indent)
+        if cls is Numeral:
+            out.append(before + _decimal(t.value) + after)
+        elif cls is Var:
+            out.append(before + encode_basestring_ascii(t.name) + after)
+        else:
             out.append(before)
             stack.append(after)
+            level += 2
             if cls is Neg:
-                stack.append((value.arg, level + 2))
-            else:
-                left, right = (value.numerator, value.denominator) if cls is Div else (value.left, value.right)
-                stack += ((right, level + 2), between, (left, level + 2))
-        elif cls is dict or cls is list:
-            opening, closing = "{}" if cls is dict else "[]"
-            if not value:
-                out.append(opening + closing)
+                t = t.arg
                 continue
-            if cls is dict:
-                entries = [(encode_basestring_ascii(k) + ": ", v) for k, v in value.items()]
+            left, right = (t.numerator, t.denominator) if cls is Div else (t.left, t.right)
+            stack.append((right, level, between))
+            t = left
+            continue
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
             else:
-                entries = [("", v) for v in value]
-            out.append(opening)
-            stack.append(_newline(indent, level) + closing)
-            head = _newline(indent, level + 1)
-            for i in reversed(range(len(entries))):
-                label, v = entries[i]
-                stack += ((v, level + 1), (sep + head if i else head) + label)
-        elif cls is _Rendered:
-            out += value.pieces
-        elif cls is str:
-            out.append(encode_basestring_ascii(value))
-        elif cls is int:
-            out.append(_decimal(value))
-        elif cls is bool:
-            out.append("true" if value else "false")
-        elif value is None:
-            out.append("null")
+                t, level, between = item
+                out.append(between)
+                break
         else:
-            raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")
-    return out
+            return out
+
+
+def _measure(t: Term, sizes: dict[int, tuple[Term, int]]) -> int:
+    """How many pieces :func:`_pieces` renders ``t`` in, at any level and indent.
+
+    ``sizes`` maps the id of each operator counted to ``(node, count)`` and
+    keeps the node alive, so one table counts each node once.
+    """
+    if not children(t):
+        return 1
+    new, stack = [], [t]
+    while stack:  # the operators not counted yet, each before its operands
+        node = stack.pop()
+        kids = children(node)
+        if kids and id(node) not in sizes:
+            new.append((node, kids))
+            stack += kids
+    for node, kids in reversed(new):
+        n = 1
+        for kid in kids:
+            m = sizes.get(id(kid))
+            n += 2 if m is None else m[1] + 1  # a leaf is one piece
+        sizes[id(node)] = node, n
+    return sizes[id(t)][1]
 
 
 class _Rendered:
-    """Pieces of JSON text that :func:`_pieces` copies as they are: a value rendered at its level."""
+    """Pieces of JSON text that :func:`_dumps` copies as they are: a value rendered at its level."""
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: list[str]):
         self.pieces = pieces
-
-
-_OWN_PIECES = {Numeral: 1, Var: 1, Neg: 2, Add: 3, Mul: 3, Div: 3}
-
-
-def _piece_count(t: Term) -> int:
-    """How many pieces :func:`_pieces` renders ``t`` in, at any level and indent."""
-    return sum(_OWN_PIECES[type(s)] for s in postorder(t))
 
 
 def term_to_json(t: Term) -> str:

@@ -286,13 +286,12 @@ def as_signed_numeral(t: Term) -> int | None:
 
 def children(t: Term) -> tuple[Term, ...]:
     """The operands of ``t``, in the order its constructor takes them."""
-    if isinstance(t, (Numeral, Var)):
-        return ()
-    if isinstance(t, Neg):
-        return (t.arg,)
-    if isinstance(t, Div):
+    cls = type(t)
+    if cls is Div:
         return (t.numerator, t.denominator)
-    return (t.left, t.right)
+    if cls is Add or cls is Mul:
+        return (t.left, t.right)
+    return (t.arg,) if cls is Neg else ()
 
 
 def postorder(t: Term) -> list[Term]:

@@ -714,6 +714,20 @@ class TestReads:
         for (_, after), (before, _) in zip(terms, terms[1:]):
             assert after is before
 
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_reading_last_first_moves_at_most_twice_per_edit(self, monkeypatch, normalize):
+        # A read before the cursor undoes edits instead of walking from the root.
+        t = _continued_fraction(100)
+        forward = [s.after for s in normalize(t).trace]
+        nf = normalize(t)
+        moves = []
+        move = calculator._Zipper.move
+        monkeypatch.setattr(calculator._Zipper, "move", lambda z, link: moves.append(link) or move(z, link))
+        backward = [s.after for s in reversed(nf.trace)][::-1]
+        assert len(moves) <= 2 * len(nf.trace)
+        assert all(eq_syn(a, b) for a, b in zip(backward, forward))
+        assert all(eq_syn(s.before, b) for s, b in zip(nf.trace[1:], forward))
+
     @pytest.mark.parametrize(
         "make", [lambda: _harmonic(200), lambda: _continued_fraction(100)],
         ids=["harmonic_200", "continued_100"],
