@@ -143,14 +143,16 @@ class Step(_Frozen):
         return self._terms[self._i + 1]
 
     def to_json_obj(self) -> dict:
-        before, after = term_to_json_obj(self.before), term_to_json_obj(self.after)
-        return self._json_layout(before, after, list(self.position))
+        return self._json_layout(term_to_json_obj(self.before), term_to_json_obj(self.after))
 
-    def _json_layout(self, before: Any, after: Any, position: list[int]) -> dict:
+    def _json_layout(self, before: Any, after: Any) -> dict:
         """The JSON object of this step, with ``before`` and ``after`` as its terms."""
+        position = self.position
+        if not isinstance(position, (tuple, list)):
+            raise PositionError(f"a position is a list of child indices, got {position!r}")
         return {
             "rule": self.rule,
-            "position": position,
+            "position": list(position),
             "before": before,
             "after": after,
             "conditions": sorted(self.conditions),
@@ -383,63 +385,52 @@ class NormalForm(_Record):
         return {"result": result, "conditions": sorted(self.conditions), "steps": steps}
 
 
-def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[_Rendered, _Rendered, list[int]]]:
-    """Each step's ``before`` and ``after`` as JSON text pieces at ``_STEP_TERM_LEVEL``, and its position.
+def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[_Rendered, _Rendered]]:
+    """Each step's ``before`` and ``after`` as JSON text pieces at ``_STEP_TERM_LEVEL``.
 
     A run of steps along one record renders its first ``before`` and walks a
-    :class:`_Zipper` over the edits.  A step renders its contractum between
-    copies of the pieces around the redex, and ``after`` is the next
-    ``before``.  ``spans`` holds, for each node on the path and the focus,
-    the index of its first piece and how many pieces follow its last; edits
-    inside a node keep both.  An operator's opening, separator and closing
-    are one piece each, so an operand's span follows from its parent's and
-    from the operand the walk came up from, or the other operand's count
-    (:func:`syntax._measure`, which counts each node once per run).  The
-    bytes written are counted as they grow, so a refusal holds little more
-    than the limit.
+    :class:`_Zipper` over the edits; a hand-built step is a run of its own,
+    one edit at the root whose contractum is its whole ``after``.  A step
+    renders its contractum between copies of the pieces around the redex,
+    and ``after`` is the next ``before``.  ``spans`` holds, for each node on
+    the path and the focus, the index of its first piece and how many pieces
+    follow its last; edits inside a node keep both.  An operator's opening,
+    separator and closing are one piece each, so an operand's span follows
+    from its parent's and the other operand's count (:func:`syntax._measure`,
+    which counts each node once per run).  The bytes written are counted as
+    they grow, so a refusal holds little more than the limit.
     """
-    texts: list[tuple[_Rendered, _Rendered, list[int]]] = []
+    texts: list[tuple[_Rendered, _Rendered]] = []
     written, prev = 0, None
     for step in trace:
         terms, k = step._terms, step._i
-        if type(terms) is tuple:  # a hand-built step
-            before, after = (_Rendered(_pieces(t, indent, _STEP_TERM_LEVEL, [])) for t in terms[:2])
-            written += sum(map(len, before.pieces)) + sum(map(len, after.pieces))
-            texts.append((before, after, list(step.position)))
-        else:
-            if not _continues(prev, step):
-                z, spans, pos, sizes = _Zipper(step.before), [(0, 0)], [], {}
-                contracta, edits = terms.contracta(), terms.edits
-                after = _Rendered(_pieces(z.focus, indent, _STEP_TERM_LEVEL, []))
-                length = sum(map(len, after.pieces))
-            kept, before = z.move(edits[k][0]), after
-            text = before.pieces
-            came = (pos[kept], spans[kept + 1]) if kept < len(pos) else None  # the operand left
-            del spans[kept + 1 :], pos[kept:]
-            for node, i, _ in z.path[kept:]:
-                s, t = spans[-1]
-                if came and came[0] == i:
-                    span = came[1]
-                elif type(node) is Neg:
-                    span = s + 1, t + 1
-                elif i == 0:  # it ends where the separator before the second operand starts
-                    rest = len(text) - came[1][0] if came else t + 1 + _measure(children(node)[1], sizes)
-                    span = s + 1, rest + 1
-                else:  # it starts after the first operand and the separator
-                    first = len(text) - came[1][1] if came else s + 1 + _measure(children(node)[0], sizes)
-                    span = first + 1, t + 1
-                spans.append(span)
-                pos.append(i)
-                came = None
-            start, tail = spans[-1]
-            end, z.focus = len(text) - tail, contracta[k]
-            new = _pieces(z.focus, indent, _STEP_TERM_LEVEL + 2 * len(z.path), [])
-            sizes[id(z.focus)] = z.focus, len(new)
-            after = _Rendered(text[:start] + new + text[end:])
-            written += length
-            length += sum(map(len, new)) - sum(map(len, text[start:end]))
-            written += length
-            texts.append((before, after, pos[:]))
+        if not _continues(prev, step):
+            if type(terms) is tuple:  # a hand-built step: one edit, at the root, to its ``after``
+                edits, contracta = [(None,)], terms[1:2]
+            else:
+                edits, contracta = terms.edits, terms.contracta()
+            z, spans, sizes = _Zipper(step.before), [(0, 0)], {}
+            after = _Rendered(_pieces(z.focus, indent, _STEP_TERM_LEVEL, []))
+            length = sum(map(len, after.pieces))
+        kept, before = z.move(edits[k][0]), after
+        text = before.pieces
+        del spans[kept + 1 :]
+        for node, i, _ in z.path[kept:]:
+            s, t = spans[-1]
+            if type(node) is Neg:
+                spans.append((s + 1, t + 1))
+            elif i == 0:  # it ends where the separator before the second operand starts
+                spans.append((s + 1, t + 2 + _measure(children(node)[1], sizes)))
+            else:  # it starts after the first operand and the separator
+                spans.append((s + 2 + _measure(children(node)[0], sizes), t + 1))
+        start, tail = spans[-1]
+        end, z.focus = len(text) - tail, contracta[k]
+        new = _pieces(z.focus, indent, _STEP_TERM_LEVEL + 2 * len(z.path), [])
+        after = _Rendered(text[:start] + new + text[end:])
+        written += length
+        length += sum(map(len, new)) - sum(map(len, text[start:end]))
+        written += length
+        texts.append((before, after))
         _check_length(written)
         prev = step
     return texts

@@ -246,11 +246,12 @@ def term_from_json_obj(obj: Any) -> Term:
     return vals[0]
 
 
-# The deepest nesting of JSON containers (objects and lists) any output may
-# have.  A sum of n ones nests 2n - 1 deep as a term, so ``parse --json``
-# encodes 495 ones (989 deep) and ``normalize --trace``, whose terms sit
-# three containers in, 494 (990 deep).  Only terms are checked: no output
-# nests its own dicts and lists more than three deep.
+# The deepest nesting of JSON containers (objects and lists) any output, or
+# any input to ``term_from_json``, may have.  A sum of n ones nests 2n - 1
+# deep as a term, so ``parse --json`` encodes 495 ones (989 deep) and
+# ``normalize --trace``, whose terms sit three containers in, 494 (990 deep).
+# Only terms are checked on output: no output nests its own dicts and lists
+# more than three deep.
 _MAX_JSON_DEPTH = 990
 _TOO_DEEP = "term nests too deeply for JSON output"
 
@@ -318,7 +319,6 @@ def _frame(level: int, indent: int | None, keys: tuple = ()) -> tuple:
 
 
 _FRAMES: dict[tuple, tuple] = {}
-_INTS = {int}
 
 
 def _dumps(obj: Any, indent: int | None = None) -> str:
@@ -326,11 +326,10 @@ def _dumps(obj: Any, indent: int | None = None) -> str:
 
     One loop writes dicts, lists, strings, integers, booleans, ``None``, terms
     (:func:`_pieces`) and :class:`_Rendered` pieces straight from the tree, with
-    each container's labels from its :func:`_frame` and a list of integers in
-    one ``join``: a few operations per entry, and one copy of the text, in the
-    final ``join``.  Integers past the int/str limit, terms nesting
-    ``_MAX_JSON_DEPTH`` containers deep and text longer than
-    ``_MAX_JSON_BYTES`` raise :class:`DomainError`.
+    each container's labels from its :func:`_frame`: a few operations per
+    entry, and one copy of the text, in the final ``join``.  Integers past the
+    int/str limit, terms nesting ``_MAX_JSON_DEPTH`` containers deep and text
+    longer than ``_MAX_JSON_BYTES`` raise :class:`DomainError`.
     """
     out: list[str] = []
     # The containers entered: the rest of each one's (label, value) entries,
@@ -353,9 +352,6 @@ def _dumps(obj: Any, indent: int | None = None) -> str:
                     value = value.values()
                 else:
                     first, rest, inner = _FRAMES.get(((), level, indent)) or _frame(level, indent)
-                    if {*map(type, value)} == _INTS:
-                        out.append(first + rest.join(map(_decimal, value)) + inner)
-                        continue
                     labels = [first] + [rest] * (len(value) - 1)
                 stack.append((entries, level, closing))
                 entries, level, closing = zip(labels, value), level + 1, inner
@@ -455,7 +451,26 @@ def term_to_json(t: Term) -> str:
     return _dumps(t)
 
 
+# A JSON string, closed or running to the end of the text, or one bracket.
+_JSON_MARKS = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]', re.DOTALL)
+
+
 def term_from_json(text: str) -> Term:
+    """Decode :func:`term_to_json` text; nesting past ``_MAX_JSON_DEPTH`` is a :class:`ParseError`.
+
+    The depth is checked by one scan over the brackets outside JSON strings,
+    skipped when there are too few brackets to reach the limit.
+    """
+    if text.count("[") + text.count("{") > _MAX_JSON_DEPTH:
+        depth = 0
+        for mark in _JSON_MARKS.finditer(text):
+            c = mark[0]
+            if c == "[" or c == "{":
+                depth += 1
+                if depth > _MAX_JSON_DEPTH:
+                    raise ParseError(f"invalid JSON: nested too deeply, past {_MAX_JSON_DEPTH} containers")
+            elif c == "]" or c == "}":
+                depth -= 1
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -29,10 +29,6 @@ SRC = os.path.realpath(os.path.join(os.path.dirname(__file__), "..", "src", "fra
 #: ``(module file, stripped line text)``: why no test runs that line.
 ALLOWED = {
     ("cli.py", "raise SystemExit(main())"): "runs only as a script; tests call main() directly",
-    (
-        "syntax.py",
-        'raise TypeError(f"Object of type {cls.__name__} is not JSON serializable")',
-    ): "guards _dumps against a value that no caller passes",
 }
 
 

@@ -263,6 +263,11 @@ class TestApplyRule:
         with pytest.raises(MatchError):
             apply_rule(parse("1/2"), RULE_FEQ, (), {"k": 0})
 
+    def test_feq_by_one_is_the_identity(self):
+        for direction in ("lr", "rl"):
+            out = apply_rule(parse("1/2"), RULE_FEQ, (), {"k": 1, "direction": direction})
+            assert eq_syn(out, parse("1/2"))
+
     def test_qcr(self):
         out = apply_rule(parse("1/2 + 1/2"), RULE_QCR, ())
         assert eq_syn(out, parse("(1+1)/2"))

@@ -25,6 +25,7 @@ from fracterm.cli import main
 from fracterm.errors import DomainError, ParseError, SafetyError
 from fracterm.meadows import CommonQ, Gfp, Q0, Residue, check_identity, evaluate
 from fracterm.syntax import (
+    _MAX_JSON_DEPTH,
     parse,
     term_from_json,
     term_from_json_obj,
@@ -175,13 +176,50 @@ def test_cli_eval(capsys):
     assert capsys.readouterr().out == "1000\n"
 
 
+def _neg_chain(n):
+    """The JSON text of ``n`` minus signs around 1: ``2n + 1`` containers deep."""
+    return '{"op": "neg", "args": [' * n + '{"num": "1"}' + "]}" * n
+
+
 class TestJsonNesting:
     def test_decoding_is_parse_error(self):
-        text = '{"num": "1"}'
-        for _ in range(500):
-            text = '{"op": "neg", "args": [' + text + "]}"
         with pytest.raises(ParseError, match="nested too deeply"):
-            term_from_json(text)
+            term_from_json(_neg_chain(500))
+
+    @pytest.mark.parametrize("times", [2, 100])
+    @pytest.mark.parametrize("frames", [0, 300])
+    def test_decoding_limit_ignores_callers_stack(self, times, frames):
+        text = _neg_chain(times * _MAX_JSON_DEPTH // 2)
+        with pytest.raises(ParseError, match=f"nested too deeply, past {_MAX_JSON_DEPTH} containers"):
+            _called_deep(lambda: term_from_json(text), frames)
+
+    def test_decoding_limit_boundary(self):
+        with pytest.raises(ParseError, match=f"past {_MAX_JSON_DEPTH} containers"):
+            term_from_json(_neg_chain((_MAX_JSON_DEPTH + 1) // 2))  # 991 containers
+        # 990 containers pass the scan; the outer object is no term.
+        with pytest.raises(ParseError) as caught:
+            term_from_json('{"x": ' + _neg_chain(_MAX_JSON_DEPTH // 2 - 1) + "}")
+        assert "past" not in str(caught.value)
+
+    def test_chain_of_200_decodes_from_deep_caller(self):
+        t = _called_deep(lambda: term_from_json(_neg_chain(200)), 300)
+        assert evaluate(t, Q0()) == 1
+
+    def test_deep_caller_below_the_limit(self):
+        # On CPython 3.10 and 3.11 json.loads shares the recursion limit with
+        # the caller's frames, so a deep caller may be refused below the limit.
+        try:
+            t = _called_deep(lambda: term_from_json(_neg_chain(450)), 600)
+        except ParseError as e:
+            assert "nested too deeply to decode" in str(e)
+        else:
+            assert evaluate(t, Q0()) == 1
+
+    def test_brackets_in_strings_do_not_count(self):
+        pad = "[" * 2000 + '\\"{' * 1000
+        assert eq_syn(term_from_json('{"var": "x", "pad": "' + pad + '"}'), parse("x"))
+        with pytest.raises(ParseError, match="invalid JSON"):
+            term_from_json('{"var": "x", "pad": "' + pad)  # the string never ends
 
     def test_encoding_is_domain_error(self):
         with pytest.raises(DomainError, match="nests too deeply for JSON"):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from fracterm import syntax
+from fracterm import calculator, syntax
 from fracterm.calculator import (
     RULE_CR_EVAL,
     RULE_FEQ,
@@ -18,10 +18,10 @@ from fracterm.calculator import (
 )
 from fracterm.classify import classify
 from fracterm.cli import main
-from fracterm.errors import DomainError
+from fracterm.errors import DomainError, PositionError
 from fracterm.meadows import CommonQ, Gfp, Q0, check_identity
 from fracterm.syntax import _dumps, parse, term_to_json
-from fracterm.terms import Add, Div, Numeral
+from fracterm.terms import Add, Div, Numeral, children, postorder
 
 from termgen import is_safe, random_closed_term, random_unsafe_biased_term
 
@@ -82,6 +82,33 @@ class TestWriterAgreesWithJsonDumps:
             for trace in (mixed, nf.trace[k:], nf.trace[:k], spliced):
                 _assert_written_as_json_dumps(NormalForm(nf.result, nf.conditions, trace))
 
+    def test_each_run_renders_its_first_term_and_then_only_contracta(self, monkeypatch):
+        # One splice for every step: an engine run renders its first ``before``
+        # and each contractum once, and a hand-built step its ``before`` and ``after``.
+        rendered = []
+
+        def counting(t, indent, level, out):
+            rendered.append(t)
+            return syntax._pieces(t, indent, level, out)
+
+        monkeypatch.setattr(calculator, "_pieces", counting)
+        nf = normalize_safe(parse("1/1+1/2+1/3+1/4+1/5+1/6"))
+        record, k = nf.trace[0]._terms, len(nf.trace) // 2
+        built = _hand_built(nf.trace[k])
+        trace = [*nf.trace[:k], built, *nf.trace[k + 1 :]]
+        NormalForm(nf.result, nf.conditions, trace).to_json()
+        contracta = record.contracta()
+        want = [record.root, *contracta[:k], built.before, built.after, nf.trace[k + 1].before, *contracta[k + 1 :]]
+        assert [id(t) for t in rendered] == [id(t) for t in want]
+
+    @pytest.mark.parametrize("position", [5, None, "0"])
+    def test_position_that_is_not_a_sequence(self, position):
+        step = Step(RULE_FEQ, position, parse("1/2"), parse("2/4"), {2})
+        with pytest.raises(PositionError, match="a position is a list of child indices"):
+            NormalForm(parse("2/4"), {2}, [step]).to_json()
+        with pytest.raises(PositionError, match="a position is a list of child indices"):
+            step.to_json_obj()
+
     def test_other_outputs_with_indents_interleaved(self):
         # A frame is cached per keys, level and indent; interleaving the indents
         # shows that none is reused for another.
@@ -105,6 +132,24 @@ class TestWriterAgreesWithJsonDumps:
                 for obj in outputs:
                     plain = json.loads(json.dumps(obj, default=syntax.term_to_json_obj))
                     assert _dumps(obj, indent) == json.dumps(plain, indent=indent), (indent, obj)
+
+    def test_measure_counts_each_operator_once(self):
+        rng = random.Random(29)
+        for _ in range(50):
+            t = random_closed_term(rng, 5, 99)
+            operators = [s for s in postorder(t) if children(s)]
+            sizes = {}
+            assert syntax._measure(t, sizes) == len(syntax._pieces(t, 2, 0, []))
+            # The table holds operators only, each once, and a second call adds nothing.
+            assert sorted(sizes) == sorted({id(s) for s in operators})
+            before = dict(sizes)
+            assert syntax._measure(t, sizes) == len(syntax._pieces(t, None, 0, []))
+            assert sizes == before
+
+    @pytest.mark.parametrize("value", [object(), {"k": {3}}, [1, 2.5]])
+    def test_values_outside_the_writers_types(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            _dumps(value)
 
     def test_frame_cache_stays_bounded(self):
         # Dict keys such as variable names are unbounded, so the cache of frames is too.

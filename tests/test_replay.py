@@ -102,7 +102,7 @@ class TestRejections:
             replay_derivation([step])
 
     def test_position_outside_the_term(self):
-        for position in [(0, 0, 0), (2,), "0", (True,)]:
+        for position in [(0, 0, 0), (2,), "0", (True,), 5, None]:
             step = Step(RULE_CR_EVAL, position, parse("(1+1)/3"), parse("2/3"))
             with pytest.raises(MatchError):
                 replay_derivation([step])
