@@ -7,9 +7,10 @@ and after.  The engine itself builds no term but the result: it keeps each
 step's contractum as a constructor and the integers it takes, and its position
 as a link to its parent's.  A derivation builds its contracta when one is first
 read, and a step's position and complete terms when they are read: a read walks
-one zipper over the contracta and links to its step, from where the previous
-read left it.  :func:`replay_derivation` and :meth:`NormalForm.to_json` walk
-a zipper of their own from each run's first ``before``.
+one zipper (``terms._Zipper``) over the contracta and links to its step, from
+where the previous read left it.  :func:`replay_derivation` and
+:meth:`NormalForm.to_json` walk a zipper of their own from each run's first
+``before``, and :func:`apply_rule` opens one at its position.
 
 * :func:`normalize_full` works in the totalized-rational reading: a fraction
   whose denominator evaluates to zero is collapsed to ``0/1`` (rule ``DBZ``)
@@ -57,12 +58,15 @@ from .terms import (
     Var,
     ZERO,
     _Frozen,
+    _Link,
     _Record,
+    _Zipper,
+    _indices,
+    _path,
     as_signed_numeral,
     children,
     eq_syn,
     postorder,
-    replace_at,
     signed_numeral,
     subterm_at,
 )
@@ -112,10 +116,10 @@ class Step(_Frozen):
     ``conditions``.  A step of a normal form's trace is edit ``_i`` of its
     derivation's record ``_terms``, a :class:`_Terms`, which keeps each
     step's contractum as a constructor and its integers and builds the terms
-    when they are read; it pickles and copies as its index and a reference to
-    that shared record, so it stays unread.  A hand-built step holds
-    ``(before, after, position)`` in ``_terms``, at index 0, and pickles by
-    its five fields.
+    when they are read.  A hand-built step holds ``(before, after,
+    position)`` in ``_terms``, at index 0.  Either pickles and copies as its
+    ``_terms``, index, rule and conditions, so a trace step pickles as a
+    reference to its shared record and stays unread.
     """
 
     __slots__ = ("rule", "conditions", "_terms", "_i")
@@ -147,20 +151,15 @@ class Step(_Frozen):
 
     def _json_layout(self, before: Any, after: Any) -> dict:
         """The JSON object of this step, with ``before`` and ``after`` as its terms."""
-        position = self.position
-        if not isinstance(position, (tuple, list)):
-            raise PositionError(f"a position is a list of child indices, got {position!r}")
         return {
             "rule": self.rule,
-            "position": list(position),
+            "position": _indices(self.position),
             "before": before,
             "after": after,
             "conditions": sorted(self.conditions),
         }
 
     def __reduce__(self) -> tuple:
-        if type(self._terms) is tuple:  # a hand-built step
-            return super().__reduce__()
         return _step_at, (self._terms, self._i, self.rule, self.conditions)
 
 
@@ -181,20 +180,6 @@ def _step_at(terms: _Terms, i: int, rule: str, conditions) -> Step:
 def _continues(prev: Step | None, step: Step) -> bool:
     """Whether ``step`` is the edit after ``prev``'s in one derivation's record."""
     return prev is not None and step._terms is prev._terms and step._i == prev._i + 1
-
-
-#: A position as a linked list: ``(i, parent link)`` for child ``i``, ``None`` at the root.
-_Link = tuple[int, "_Link"] | None
-
-
-def _path(link: _Link) -> Position:
-    """The position ``link`` stands for."""
-    pos: list[int] = []
-    while link is not None:
-        i, link = link
-        pos.append(i)
-    pos.reverse()
-    return tuple(pos)
 
 
 #: One step's edit ``(link, build, *args)``: its contractum is ``build(*args)``.
@@ -279,76 +264,6 @@ def _load_terms(root: Term, table: list[int], edits: list[tuple]) -> _Terms:
     terms = _Terms(root)
     terms.edits = [(links[e[0]], *e[1:]) for e in edits]
     return terms
-
-
-class _Zipper:
-    """A term opened at one subterm, its focus (Huet, *The Zipper*, JFP 7(5), 1997).
-
-    ``path`` holds each node above the focus, root first, with the index of
-    the operand the path takes and that operand's link; the operand itself is
-    stale, the others are current.  ``depths`` maps the id of each of those
-    links to its depth.  So moving to a step's link climbs only to the deepest
-    node on the path that the link passes through: consecutive engine steps
-    move a few levels, and a walk over a whole derivation is linear in its
-    steps and depth.
-    """
-
-    __slots__ = ("focus", "path", "depths")
-
-    def __init__(self, t: Term):
-        self.focus = t
-        self.path: list[tuple[Term, int, _Link]] = []
-        self.depths: dict[int, int] = {}
-
-    def move(self, link: _Link) -> int:
-        """Focus the subterm at ``link``; return how many nodes of the path stay on it."""
-        path, depths, down = self.path, self.depths, []
-        while link is not None:
-            kept = depths.get(id(link))
-            if kept is not None:
-                break
-            down.append(link)
-            link = link[1]
-        else:
-            kept = 0
-        focus = self.focus
-        while len(path) > kept:
-            node, i, up = path.pop()
-            del depths[id(up)]
-            focus = _with_operand(node, i, focus)
-        for link in reversed(down):
-            i, kids = link[0], children(focus)
-            if type(i) is not int or not 0 <= i < len(kids):
-                raise MatchError(f"no operand {i!r} of {type(focus).__name__} to rewrite at")
-            path.append((focus, i, link))
-            depths[id(link)] = len(path)
-            focus = kids[i]
-        self.focus = focus
-        return kept
-
-    def descend(self, pos: Position) -> None:
-        """Focus the subterm at ``pos`` below the focus."""
-        if not isinstance(pos, (tuple, list)):
-            raise MatchError(f"a position is a list of child indices, got {pos!r}")
-        for i in pos:
-            self.move((i, self.path[-1][2] if self.path else None))
-
-    def whole(self) -> Term:
-        """The whole term, with the focus plugged in."""
-        t = self.focus
-        for node, i, _ in reversed(self.path):
-            t = _with_operand(node, i, t)
-        return t
-
-
-def _with_operand(node: Term, i: int, new: Term) -> Term:
-    """``node`` with its operand ``i`` replaced by ``new``."""
-    cls = type(node)
-    if cls is Neg:
-        return Neg(new)
-    if cls is Div:
-        return Div(new, node.denominator) if i == 0 else Div(node.numerator, new)
-    return cls(new, node.right) if i == 0 else cls(node.left, new)
 
 
 Derivation = list[Step]
@@ -759,8 +674,10 @@ def apply_rule(
     ``DBZ`` must be enabled explicitly.  A non-matching instance raises
     :class:`MatchError`.
     """
-    inst = instantiation or {}
-    return replace_at(t, position, _apply_at(subterm_at(t, position), rule, inst, enable_dbz))
+    z = _Zipper(t)
+    z.descend(position)
+    z.focus = _apply_at(z.focus, rule, instantiation or {}, enable_dbz)
+    return z.whole()
 
 
 def _apply_at(sub: Term, rule: str, inst: dict, enable_dbz: bool) -> Term:
@@ -855,10 +772,11 @@ def replay_derivation(steps: Derivation) -> Term:
     nonzero: ``{k}`` for ``FEQ``, the two denominators for ``CFAR`` and none
     for any other rule.  A run of steps along one record is checked at their
     redexes, in one :class:`_Zipper` walk over its edits from the run's first
-    ``before``, and a hand-built step's whole ``after`` must match as well.  A step that does not continue
-    the previous step's record must start from the term the previous step
-    left.  A step that does not reproduce or chain raises :class:`MatchError`;
-    an empty derivation raises :class:`DomainError`.
+    ``before``, and a hand-built step's whole ``after`` must match as well.
+    A step that does not continue the previous step's record must start from
+    the term the previous step left.  A step that does not reproduce or chain,
+    or whose position addresses no subterm, raises :class:`MatchError`; an
+    empty derivation raises :class:`DomainError`.
     """
     if not steps:
         raise DomainError("empty derivation")
@@ -870,26 +788,22 @@ def replay_derivation(steps: Derivation) -> Term:
             if previous is not None and not eq_syn(previous.whole(), z.focus):
                 raise MatchError(f"step {i} does not chain from step {i - 1}")
         prev = step
-        if type(terms) is not tuple:
-            z.move(terms.edits[k][0])
-            contractum, after = terms.contracta()[k], None
-        else:  # a hand-built step, whose whole ``after`` must match
-            z.descend(step.position)
-            after = step.after
-            contractum = _subterm_or_none(after, step.position)
-        reproduced = contractum is not None and eq_syn(_contract(step, z.focus, contractum), contractum)
+        try:
+            if type(terms) is not tuple:
+                z.move(terms.edits[k][0])
+                contractum, after = terms.contracta()[k], None
+            else:  # a hand-built step, whose whole ``after`` must match
+                z.descend(step.position)
+                after = step.after
+                contractum = subterm_at(after, step.position)
+        except PositionError as exc:
+            raise MatchError(f"step {i} ({step.rule}): {exc}") from None
+        reproduced = eq_syn(_contract(step, z.focus, contractum), contractum)
         if reproduced:
             z.focus = contractum
         if not reproduced or after is not None and not eq_syn(z.whole(), after):
             raise MatchError(f"step {i} ({step.rule} at {list(step.position)}) does not reproduce")
     return z.whole()
-
-
-def _subterm_or_none(t: Term, pos: Position) -> Term | None:
-    try:
-        return subterm_at(t, pos)
-    except PositionError:
-        return None
 
 
 def _contract(step: Step, redex: Term, contractum: Term) -> Term:

@@ -9,6 +9,7 @@ stdout, diagnostics to stderr.  Exit status: 0 success, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import Any
 
@@ -211,35 +212,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _shield_pair_literals(argv: list[str]) -> list[str]:
-    """Keep fracpair operands like ``-3/5`` out of option parsing.
+def _shield_operands(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """Put a subcommand's operands after one ``--``, so that ``-1/2`` is not read as an option.
 
-    All operands follow one ``--``; a ``--`` the user typed is dropped.
+    A token is an option when it is one of the subcommand's option strings, a
+    ``--name=value`` form of one, or a prefix of a long one, as argparse
+    abbreviates them; the token after an option that takes a value is that
+    value.  Every other token is an operand, and a typed ``--`` is dropped.
     """
-    if not argv or argv[0] != "fracpair":
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if not argv or argv[0] not in commands:
         return argv
-    flags: list[str] = []
-    operands: list[str] = []
-    rest = argv[1:]
-    i = 0
-    while i < len(rest):
-        tok = rest[i]
-        i += 1
-        if tok == "--zero-mode" and i < len(rest):
-            flags += [tok, rest[i]]
-            i += 1
-        elif tok.startswith("--zero-mode=") or tok in ("-h", "--help"):
-            flags.append(tok)
+    actions = commands[argv[0]]._option_string_actions
+    options, operands, rest = argv[:1], [], iter(argv[1:])
+    for tok in rest:
+        long = tok.startswith("--") and len(tok) > 2
+        name = tok.split("=", 1)[0] if long else tok
+        matched = [a for s, a in actions.items() if s == name or long and s.startswith(name)]
+        if matched:
+            options.append(tok)
+            if name == tok and matched[0].nargs != 0:
+                options += itertools.islice(rest, 1)
         elif tok != "--":
             operands.append(tok)
-    return ["fracpair", *flags, "--", *operands]
+    return options + ["--", *operands] if operands else options
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    argv = _shield_pair_literals(list(argv))
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(_shield_operands(parser, list(argv)))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -10,6 +10,11 @@ The six node classes are plain ``__slots__`` classes on one base, whose
 setters raise.  Every whole-term walk is a loop over :func:`postorder`, one
 explicit stack, or over a stack of its own, as ``==``, ``hash`` and ``repr``
 are; so no traversal here is bounded by the interpreter's recursion limit.
+
+Positions are addressed here alone: a position is a tuple of child indices,
+a link is the same path as a linked list from the subterm up to the root, and
+:class:`_Zipper` opens a term at either.  Every reader of a position moves a
+zipper, and an index that a term does not have raises :class:`PositionError`.
 """
 
 from __future__ import annotations
@@ -389,33 +394,107 @@ def subterms(t: Term) -> list[tuple[Position, Term]]:
     return out
 
 
-def _descend(t: Term, pos: Position) -> tuple[list[tuple[Term, tuple[Term, ...], int]], Term]:
-    """The subterm at ``pos``, with each node above it, its operands and the index taken.
+#: A position as a linked list: ``(i, parent link)`` for child ``i``, ``None`` at the root.
+_Link = tuple[int, "_Link"] | None
 
-    Raises :class:`PositionError` unless ``pos`` is a tuple or list of in-range child indices.
-    """
+
+def _path(link: _Link) -> Position:
+    """The position ``link`` stands for."""
+    pos: list[int] = []
+    while link is not None:
+        i, link = link
+        pos.append(i)
+    pos.reverse()
+    return tuple(pos)
+
+
+def _indices(pos: Position) -> list:
+    """``pos`` as a list; :class:`PositionError` unless it is a tuple or list."""
     if not isinstance(pos, (tuple, list)):
         raise PositionError(f"a position is a list of child indices, got {pos!r}")
-    spine: list[tuple[Term, tuple[Term, ...], int]] = []
-    for i in pos:
-        kids = children(t)
-        if type(i) is not int or not 0 <= i < len(kids):
-            raise PositionError(
-                f"position {list(pos)} invalid at step {len(spine)}: "
-                f"{type(t).__name__} has {len(kids)} children"
-            )
-        spine.append((t, kids, i))
-        t = kids[i]
-    return spine, t
+    return list(pos)
+
+
+class _Zipper:
+    """A term opened at one subterm, its focus (Huet, *The Zipper*, JFP 7(5), 1997).
+
+    ``path`` holds each node above the focus, root first, with the index of
+    the operand the path takes and that operand's link; the operand itself is
+    stale, the others are current.  ``depths`` maps the id of each of those
+    links to its depth.  So moving to a step's link climbs only to the deepest
+    node on the path that the link passes through: consecutive engine steps
+    move a few levels, and a walk over a whole derivation is linear in its
+    steps and depth.
+    """
+
+    __slots__ = ("focus", "path", "depths")
+
+    def __init__(self, t: Term):
+        self.focus = t
+        self.path: list[tuple[Term, int, _Link]] = []
+        self.depths: dict[int, int] = {}
+
+    def move(self, link: _Link) -> int:
+        """Focus the subterm at ``link``; return how many nodes of the path stay on it."""
+        path, depths, down = self.path, self.depths, []
+        while link is not None:
+            kept = depths.get(id(link))
+            if kept is not None:
+                break
+            down.append(link)
+            link = link[1]
+        else:
+            kept = 0
+        focus = self.focus
+        while len(path) > kept:
+            node, i, up = path.pop()
+            del depths[id(up)]
+            focus = _with_operand(node, i, focus)
+        for link in reversed(down):
+            i, kids = link[0], children(focus)
+            if type(i) is not int or not 0 <= i < len(kids):
+                raise PositionError(f"no operand {i!r} of {type(focus).__name__}, which has {len(kids)}")
+            path.append((focus, i, link))
+            depths[id(link)] = len(path)
+            focus = kids[i]
+        self.focus = focus
+        return kept
+
+    def descend(self, pos: Position) -> None:
+        """Focus the subterm at ``pos`` below the focus."""
+        link = self.path[-1][2] if self.path else None
+        for i in _indices(pos):
+            link = (i, link)
+        self.move(link)
+
+    def whole(self) -> Term:
+        """The whole term, with the focus plugged in."""
+        t = self.focus
+        for node, i, _ in reversed(self.path):
+            t = _with_operand(node, i, t)
+        return t
+
+
+def _with_operand(node: Term, i: int, new: Term) -> Term:
+    """``node`` with its operand ``i`` replaced by ``new``."""
+    cls = type(node)
+    if cls is Neg:
+        return Neg(new)
+    if cls is Div:
+        return Div(new, node.denominator) if i == 0 else Div(node.numerator, new)
+    return cls(new, node.right) if i == 0 else cls(node.left, new)
 
 
 def subterm_at(t: Term, pos: Position) -> Term:
     """Return the subterm addressed by ``pos``."""
-    return _descend(t, pos)[1]
+    z = _Zipper(t)
+    z.descend(pos)
+    return z.focus
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """Return a copy of ``t`` with the subterm at ``pos`` replaced by ``new``."""
-    for node, kids, i in reversed(_descend(t, pos)[0]):
-        new = type(node)(*kids[:i], new, *kids[i + 1 :])
-    return new
+    z = _Zipper(t)
+    z.descend(pos)
+    z.focus = new
+    return z.whole()

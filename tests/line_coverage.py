@@ -6,10 +6,11 @@ line starts of its compiled code objects).  Exits 1 if any line outside
 ``ALLOWED`` never ran, and 0 otherwise.  Standard library and pytest only;
 pytest does not collect this file.
 
-Under tracing the suite runs several times slower, and two tests fail
-there: a timing budget (``test_c5_fracpair_suite``) and a check that the
-cycle collector finds nothing to free.  This script therefore gates on
-lines only, whatever the suite's own outcome; Tier-1 stays the test gate.
+Under tracing the suite runs several times slower, and two timing budgets
+fail there: ``test_c5_fracpair_suite`` (5 s) and
+``test_positions_at_depth_take_linear_time`` (2 s per call at 200,000 deep).
+This script therefore gates on lines only, whatever the suite's own outcome;
+Tier-1 stays the test gate.
 
 Run it from the repository root, with extra pytest arguments if wanted::
 
@@ -47,23 +48,21 @@ def executable_lines(path: str) -> set[int]:
 
 def main(argv: list[str]) -> int:
     ran: dict[str, set[int]] = {}
-    resolved: dict[str, str | None] = {}
+    # Each code file name, resolved once: its hit set if it is in src/, else None.
+    resolved: dict[str, set[int] | None] = {}
 
     def tracer(frame, event, arg):
         name = frame.f_code.co_filename
-        path = resolved.get(name, "")
-        if path == "":
+        if name not in resolved:
             real = os.path.realpath(name)
-            path = resolved[name] = real if os.path.dirname(real) == SRC else None
-        if path is None:
+            resolved[name] = ran.setdefault(real, set()) if os.path.dirname(real) == SRC else None
+        if resolved[name] is None:
             return None
-        hits = ran.setdefault(path, set())
-        hits.add(frame.f_lineno)
+        return local(frame, event, arg)
 
-        def local(frame, event, arg):
-            hits.add(frame.f_lineno)
-            return local
-
+    # One local trace function for every call, so tracing leaves no cycle per call.
+    def local(frame, event, arg):
+        resolved[frame.f_code.co_filename].add(frame.f_lineno)
         return local
 
     import pytest  # before tracing, so that only src/ is imported under the tracer

@@ -563,7 +563,6 @@ class TestLocalSteps:
             raise AssertionError("a whole term was built")
 
         t = make()
-        monkeypatch.setattr("fracterm.calculator.replace_at", refuse)
         monkeypatch.setattr("fracterm.terms.replace_at", refuse)
         built = count_nodes()
         nf = normalize(t)

@@ -288,3 +288,55 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc_info:
             main([])
         assert exc_info.value.code == 2
+
+
+class TestLeadingMinus:
+    """An operand that starts with a minus is an operand, with or without ``--``."""
+
+    #: (subcommand, options, operands, stdout)
+    CASES = [
+        ("parse", [], ["-x"], "(-x)\n"),
+        ("classify", ["--meadow", "q0"], ["-1/2"], None),
+        ("eval", [], ["-1/2"], "-1/2\n"),
+        ("normalize", ["--mode", "full"], ["-(1/2)"], "((-1)/2)\nconditions: [2]\n"),
+        ("equal", ["--relation", "val"], ["-1/2", "-2/4"], "true\n"),
+        ("fracpair", [], ["add", "-1/2", "1/3"], "-1/6\n"),
+        ("axioms", ["--meadow", "gf:3", "--axiom", "gil"], [], "gil: valid (3 assignments)\n"),
+    ]
+
+    @pytest.mark.parametrize("command, options, operands, want", CASES, ids=[c[0] for c in CASES])
+    def test_every_subcommand(self, capsys, command, options, operands, want):
+        outs = []
+        for argv in (
+            [command, *operands, *options],
+            [command, *options, *operands],
+            [command, *options, "--", *operands],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            outs.append(out)
+        assert outs == [outs[0]] * 3
+        if want is None:  # classify
+            assert json.loads(outs[0])["is_fraction"] is True
+        else:
+            assert outs[0] == want
+
+    def test_an_operand_that_looks_like_a_long_option(self, capsys):
+        assert run(capsys, "eval", "--1")[1] == "1\n"
+        assert run(capsys, "parse", "--x")[1] == "(-(-x))\n"
+
+    def test_abbreviated_options(self, capsys):
+        assert run(capsys, "fracpair", "add", "-2/0", "3/0", "--zero=sum")[1] == "1/0\n"
+        assert run(capsys, "normalize", "-(1/2)", "--tra")[1] == run(capsys, "normalize", "--trace", "--", "-(1/2)")[1]
+
+    def test_help_after_the_operands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-1/2", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: fracterm eval")
+
+    def test_an_option_missing_its_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "-1/2", "--meadow"])
+        assert exc.value.code == 2
+        assert "argument --meadow: expected one argument" in capsys.readouterr().err

@@ -9,12 +9,15 @@ left-nested sum of n ones denotes n, and n minus signs around 1 denote
 import copy
 import pickle
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from fracterm.calculator import (
+    RULE_CR_EMBED,
     RULE_DBZ,
+    apply_rule,
     find_unsafe_fraction,
     normalize_full,
     normalize_safe,
@@ -47,7 +50,9 @@ from fracterm.terms import (
     is_closed,
     node_count,
     postorder,
+    replace_at,
     signed_numeral,
+    subterm_at,
     subterms,
 )
 
@@ -118,6 +123,23 @@ def test_subterms_in_preorder():
     assert len(pairs) == 2001
     assert [len(pos) for pos, _ in pairs] == list(range(2001))
     assert pairs[-1] == ((0,) * 2000, ONE)
+
+
+def test_positions_at_depth_take_linear_time():
+    # Each call opens one zipper and descends once; a descent that copied the
+    # path per level would take minutes at this depth, not a fraction of a second.
+    n = 200_000
+    t, pos = neg_chain(n), (0,) * n
+    calls = [
+        (lambda: subterm_at(t, pos), ONE),
+        (lambda: replace_at(t, pos, ZERO), neg_chain(n, ZERO)),
+        (lambda: apply_rule(t, RULE_CR_EMBED, pos), neg_chain(n, Div(ONE, ONE))),
+    ]
+    for call, want in calls:
+        start = time.perf_counter()
+        got = call()
+        assert time.perf_counter() - start < 2
+        assert eq_syn(got, want)
 
 
 def test_text_round_trip(deep):

@@ -2,7 +2,8 @@
 
 Every input must give a result or a ``FractermError``: the CLI returns 0, 2, 3
 or 4, or argparse exits with 0 (help) or 2 (usage), and ``term_from_json``
-returns a term or raises :class:`ParseError`.  The strategies build inputs
+returns a term or raises :class:`ParseError`.  An argv means the same with its
+operands before its options and no ``--``.  The strategies build inputs
 that random characters rarely reach: numerals at the interpreter's int/str
 limit, terms nested hundreds deep, meadow names at and past the modulus
 bound, and fracpair literals with zero denominators.
@@ -83,8 +84,8 @@ def _optional(strategy):
     return st.one_of(st.just([]), strategy)
 
 
-# Options come first and positionals after ``--``, so that an expression
-# starting with a minus reaches the library rather than argparse.
+# Options come first and positionals after ``--``; ``_unshielded`` gives the
+# same argv with the positionals first and no ``--``, which must mean the same.
 argvs = st.one_of(
     st.builds(lambda f, e: ["parse", *f, "--", e], _optional(st.just(["--json"])), expressions),
     st.builds(
@@ -122,20 +123,39 @@ argvs = st.one_of(
 )
 
 
-@FUZZ
-@given(argvs, junk)
-def test_cli_returns_only_its_exit_codes(argv, extra):
-    argv = [argv[0], *extra, *argv[1:]]
+def _unshielded(argv):
+    """``argv`` with no ``--``, and the operands that followed it moved before the options."""
+    if "--" not in argv:
+        return argv
+    k = argv.index("--")
+    return [argv[0], *argv[k + 1 :], *argv[1:k]]
+
+
+def _outcome(argv):
+    """``main(argv)``'s status, or argparse's exit code, with what it wrote."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             status = main(argv)
         except SystemExit as exc:  # argparse: help or a usage error
             assert exc.code in (0, 2), argv
-            return
+            return exc.code, out.getvalue(), err.getvalue()
     assert status in (0, 2, 3, 4), argv
     if status:
         assert err.getvalue().startswith(("parse error: ", "safety error: ", "error: ")), argv
+    return status, out.getvalue(), err.getvalue()
+
+
+@FUZZ
+@given(st.one_of(argvs, argvs.map(_unshielded)), junk)
+def test_cli_returns_only_its_exit_codes(argv, extra):
+    _outcome([argv[0], *extra, *argv[1:]])
+
+
+@FUZZ
+@given(argvs)
+def test_operands_need_no_double_dash(argv):
+    assert _outcome(_unshielded(argv)) == _outcome(argv)
 
 
 def _neg_wrapped(text, n):

@@ -459,8 +459,7 @@ def test_reading_an_engine_trace_builds_no_whole_term(monkeypatch, normalize):
     nfs = [normalize(t) for t in (_harmonic(30), _continued_fraction(12), parse("(1/2)/(2/3) + -(3/4)*5"))]
     # A slice starts a fresh walk from its record's root.
     nfs += [NormalForm(nf.result, nf.conditions, nf.trace[len(nf.trace) // 2 :]) for nf in nfs]
-    for name in ("fracterm.calculator.replace_at", "fracterm.terms.replace_at",
-                 "fracterm.calculator.apply_rule", "fracterm.calculator.subterm_at"):
+    for name in ("fracterm.terms.replace_at", "fracterm.calculator.apply_rule", "fracterm.calculator.subterm_at"):
         monkeypatch.setattr(name, refuse)
     texts = [(nf.to_json(), nf.to_json(indent=None)) for nf in nfs]
     finals = [replay_derivation(nf.trace) for nf in nfs]
