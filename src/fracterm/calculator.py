@@ -3,12 +3,12 @@
 Two normalizers share one bottom-up engine on one explicit stack, with no
 depth limit.  Every derivation step records the position rewritten, the rule
 applied, the numerals the step assumes nonzero, and the complete term before
-and after.  The engine itself builds no term but the result: it keeps each
-step's contractum as a constructor and the integers it takes, and its position
-as a link to its parent's.  A derivation builds its contracta when one is first
-read, and a step's position and complete terms when they are read: a read walks
-one zipper (``terms._Zipper``) over the contracta and links to its step, from
-where the previous read left it.  :func:`replay_derivation` and
+and after.  The engine builds no term but the result, and no step: it records
+each step's rule, its contractum as a constructor and the integers it takes,
+and its position as a link to its parent's.  A trace builds a step, and a
+derivation its contracta, a step's position and complete terms, when read: a
+read walks one zipper (``terms._Zipper``) over the contracta and links to its
+step, from where the previous read left it.  :func:`replay_derivation` and
 :meth:`NormalForm.to_json` walk a zipper of their own from each run's first
 ``before``, and :func:`apply_rule` opens one at its position.
 
@@ -41,8 +41,10 @@ derivation in a prime field where some of them vanish.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from typing import Any
 
+from .classify import _facts
 from .errors import DomainError, EvalError, MatchError, PositionError, SafetyError
 from .meadows import Q0, _pair, evaluate
 from .syntax import _check_length, _dumps, _measure, _pieces, _Rendered, term_to_json_obj, to_text
@@ -61,7 +63,7 @@ from .terms import (
     _Link,
     _Record,
     _Zipper,
-    _indices,
+    _memo_of,
     _path,
     as_signed_numeral,
     children,
@@ -83,7 +85,6 @@ __all__ = [
     "RULE_FEQ",
     "RULE_DBZ",
     "Step",
-    "Derivation",
     "NormalForm",
     "normalize_full",
     "normalize_safe",
@@ -114,12 +115,12 @@ class Step(_Frozen):
 
     Immutable, and compared, hashed and shown by those four fields and
     ``conditions``.  A step of a normal form's trace is edit ``_i`` of its
-    derivation's record ``_terms``, a :class:`_Terms`, which keeps each
-    step's contractum as a constructor and its integers and builds the terms
-    when they are read.  A hand-built step holds ``(before, after,
-    position)`` in ``_terms``, at index 0.  Either pickles and copies as its
-    ``_terms``, index, rule and conditions, so a trace step pickles as a
-    reference to its shared record and stays unread.
+    derivation's record ``_terms``, a :class:`_Terms`, built when read.  A
+    hand-built step holds ``(before, after, position)`` in ``_terms``, at
+    index 0, and its JSON refuses a position ``before`` lacks, as replay
+    does.  Either pickles and copies as its ``_terms``, index, rule and
+    conditions, so a trace step pickles as a reference to its shared record
+    and stays unread.
     """
 
     __slots__ = ("rule", "conditions", "_terms", "_i")
@@ -151,9 +152,11 @@ class Step(_Frozen):
 
     def _json_layout(self, before: Any, after: Any) -> dict:
         """The JSON object of this step, with ``before`` and ``after`` as its terms."""
+        if type(self._terms) is tuple:  # a hand-built position must address a subterm
+            subterm_at(self.before, self.position)
         return {
             "rule": self.rule,
-            "position": _indices(self.position),
+            "position": list(self.position),
             "before": before,
             "after": after,
             "conditions": sorted(self.conditions),
@@ -187,29 +190,32 @@ _Edit = tuple
 
 
 class _Terms:
-    """The record of one derivation: ``root``, and an edit for each step.
+    """The record of one derivation: ``root``, and a rule and an edit for each step.
 
-    An edit keeps the step's position as a :data:`_Link` and its contractum
-    as a module-level constructor and the integers it takes, so the engine
-    records a step without building a term.  The first read of a contractum
-    builds every contractum (:meth:`contracta`).  ``self[i]``, the whole term
-    before edit ``i``, moves a :class:`_Zipper` from the cursor, where the
-    last read left it with the whole term it built and the focus each edit
-    it walked replaced.  A read after the cursor walks on over the edits,
-    and a read before it undoes edits, plugging each replaced focus back in.
-    So reading every step in order, or last-first, walks each edit at most
-    twice.  A read takes the
-    cursor with ``list.pop()`` and appends it back when done, so two threads
-    never walk one zipper.  Steps point here, and this holds no step, so an
-    unread derivation is freed without the cycle collector.  It pickles and
-    copies as its root and edits, with every link written once in a flat
-    table, so loading builds nothing and keeps the links shared.
+    ``conditions`` maps each step that assumes numerals nonzero to them.  An
+    edit keeps the step's position as a :data:`_Link` and its contractum as a
+    module-level constructor and the integers it takes, so the engine records
+    a step without building a term.  The first read of a contractum builds
+    every contractum (:meth:`contracta`).  ``self[i]``, the whole term before
+    edit ``i``, moves a :class:`_Zipper` from the cursor, where the last read
+    left it with the whole term it built and the focus each edit it walked
+    replaced.  A read after the cursor walks on over the edits, and a read
+    before it undoes edits, plugging each replaced focus back in.  So reading
+    every step in order, or last-first, walks each edit at most twice.  A read
+    takes the cursor with ``list.pop()`` and appends it back when done, so two
+    threads never walk one zipper.  Steps point here, and this holds no step,
+    so an unread derivation is freed without the cycle collector.  It pickles
+    and copies as its root, rules, conditions and edits, with every link
+    written once in a flat table, so loading builds nothing and keeps the
+    links shared.
     """
 
-    __slots__ = ("root", "edits", "cursor", "_contracta")
+    __slots__ = ("root", "rules", "conditions", "edits", "cursor", "_contracta")
 
     def __init__(self, root: Term):
         self.root = root
+        self.rules: list[str] = []
+        self.conditions: dict[int, frozenset[int]] = {}
         self.edits: list[_Edit] = []
         self.cursor: list[tuple[int, _Zipper, Term, list[Term]]] = []
         self._contracta: list[Term] | None = None
@@ -253,31 +259,54 @@ class _Terms:
                 table += (link[0], numbers[id(link[1])])
                 numbers[id(link)] = len(table) // 2
             edits.append((numbers[id(e[0])], *e[1:]))
-        return _load_terms, (self.root, table, edits)
+        return _load_terms, (self.root, table, edits, self.rules, self.conditions)
 
 
-def _load_terms(root: Term, table: list[int], edits: list[tuple]) -> _Terms:
-    """The record that :meth:`_Terms.__reduce__` wrote as ``root``, ``table`` and ``edits``."""
+def _load_terms(root: Term, table: list[int], edits: list[tuple], rules, conditions) -> _Terms:
+    """The record that :meth:`_Terms.__reduce__` wrote."""
     links: list[_Link] = [None]
     for j in range(0, len(table), 2):
         links.append((table[j], links[table[j + 1]]))
     terms = _Terms(root)
     terms.edits = [(links[e[0]], *e[1:]) for e in edits]
+    terms.rules, terms.conditions = rules, conditions
     return terms
 
 
-Derivation = list[Step]
+class _Trace(Sequence):
+    """The steps of one derivation's record, each built when it is read: ``len``
+    builds none, a slice is a list.  It equals and shows as the list of its
+    steps, and pickles as its record, so an unread trace stays unread."""
+
+    def __init__(self, terms: _Terms):
+        self._terms = terms
+
+    def __len__(self) -> int:
+        return len(self._terms.edits)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        terms, i = self._terms, range(len(self))[i]
+        return _step_at(terms, i, terms.rules[i], terms.conditions.get(i, _NO_CONDITIONS))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, _Trace)) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
 
 #: A trace step's terms sit this many JSON containers deep in :meth:`NormalForm.to_json`.
 _STEP_TERM_LEVEL = 3
 
 
 class NormalForm(_Record):
-    """A simplified flat fraction with its hypotheses and derivation."""
+    """A simplified flat fraction with its hypotheses and its derivation, a list or a ``_Trace``."""
 
     _fields = ("result", "conditions", "trace")
 
-    def __init__(self, result: Term, conditions: set[int], trace: Derivation | None = None):
+    def __init__(self, result: Term, conditions: set[int], trace: Sequence[Step] | None = None):
         self.result, self.conditions = result, conditions
         self.trace = [] if trace is None else trace
 
@@ -291,8 +320,8 @@ class NormalForm(_Record):
         lays out the objects around them.  Text longer than
         ``syntax._MAX_JSON_BYTES`` raises :class:`DomainError`.
         """
-        texts = _step_texts(self.trace, indent)
-        steps = [s._json_layout(*text) for s, text in zip(self.trace, texts)]
+        trace = list(self.trace)
+        steps = [s._json_layout(*text) for s, text in zip(trace, _step_texts(trace, indent))]
         return _dumps(self._json_layout(self.result, steps), indent)
 
     def _json_layout(self, result: Any, steps: list) -> dict:
@@ -300,7 +329,7 @@ class NormalForm(_Record):
         return {"result": result, "conditions": sorted(self.conditions), "steps": steps}
 
 
-def _step_texts(trace: Derivation, indent: int | None) -> list[tuple[_Rendered, _Rendered]]:
+def _step_texts(trace: list[Step], indent: int | None) -> list[tuple[_Rendered, _Rendered]]:
     """Each step's ``before`` and ``after`` as JSON text pieces at ``_STEP_TERM_LEVEL``.
 
     A run of steps along one record renders its first ``before`` and walks a
@@ -366,15 +395,15 @@ def find_unsafe_fraction(t: Term) -> tuple[Position, Term] | None:
     """First (outermost, leftmost) fraction whose denominator denotes zero.
 
     Uses the totalized-rational reading to evaluate denominators, so it is
-    total on closed terms.
+    total on closed terms.  Reads the ``Q0`` facts of ``classify``'s memo.
     """
-    unsafe: list[Div] = []
-    evaluate(t, Q0(), unsafe=unsafe)
-    if not unsafe:
+    ids = _facts(t, Q0())[1]
+    if ids is None:
+        evaluate(t, Q0())  # an open term: raises on its first unbound variable
+    if not ids:
         return None
     # A shared subterm has one value, so matching by identity is exact.  Each
     # preorder entry links to its parent's, so only the match's position is built.
-    ids = {id(s) for s in unsafe}
     stack: list[tuple[Term, tuple | None]] = [(t, None)]
     while True:
         s, link = stack.pop()
@@ -459,50 +488,52 @@ class _Engine:
     ``done`` set, and then merges the shapes its operands left on ``shapes``.
     ``embed`` marks the root and the operands of ``+`` and ``*``, whose
     division-free results become ``x/1`` before the next operand is touched.
-    ``_rewrite`` keeps each step's contractum as an edit of its
-    :class:`_Terms`: a constructor and the integers of the shapes, with the
-    step's link.  So the engine builds no term but the result, and whether a
-    component is already a signed numeral follows from the rule and those
-    integers.
+    ``_rewrite`` appends each step's rule to its :class:`_Terms` and its
+    contractum as an edit: a constructor and the integers of the shapes, with
+    the step's link.  So the engine builds no term but the result and no
+    :class:`Step`, and whether a component is already a signed numeral
+    follows from the rule and those integers.
 
     In safe mode ``run`` stops (:class:`_Stop`) at the first zero denominator.
     """
 
     def __init__(self, safe: bool):
         self.safe = safe
-        self.steps: Derivation = []
         self.conditions: set[int] = set()
 
     def _record_values(self, t: Term) -> dict[int, int]:
-        """The value of every division-free subterm of the closed term ``t``."""
-        # Keyed by id: the input outlives the pass, so no id is reused.
-        values: dict[int, int] = {}
-        zero_denominator = False
-        for s in postorder(t):
-            cls = type(s)
-            if cls is Numeral:
-                values[id(s)] = s.value
-            elif cls is Var:
-                raise EvalError(f"cannot normalize an open term: {to_text(t)}")
-            elif cls is Neg:
-                if id(s.arg) in values:
-                    values[id(s)] = -values[id(s.arg)]
-            elif cls is Div:
-                zero_denominator |= values.get(id(s.denominator)) == 0
-            elif id(s.left) in values and id(s.right) in values:
-                x, y = values[id(s.left)], values[id(s.right)]
-                values[id(s)] = x + y if cls is Add else x * y
+        """Each division-free subterm's value in the closed term ``t``, by id; kept in its memo."""
+        memo = _memo_of(t)
+        if _Engine not in memo:
+            values: dict[int, int] = {}
+            zero_denominator = False
+            for s in postorder(t):
+                cls = type(s)
+                if cls is Numeral:
+                    values[id(s)] = s.value
+                elif cls is Var:
+                    raise EvalError(f"cannot normalize an open term: {to_text(t)}")
+                elif cls is Neg:
+                    if id(s.arg) in values:
+                        values[id(s)] = -values[id(s.arg)]
+                elif cls is Div:
+                    zero_denominator |= values.get(id(s.denominator)) == 0
+                elif id(s.left) in values and id(s.right) in values:
+                    x, y = values[id(s.left)], values[id(s.right)]
+                    values[id(s)] = x + y if cls is Add else x * y
+            memo[_Engine] = values, zero_denominator
+        values, zero_denominator = memo[_Engine]
         if zero_denominator and self.safe:
             raise _Stop  # a fraction over a division-free zero: stop before any step
         return values
 
     def _rewrite(self, rule: str, edit: _Edit, conds=()) -> None:
         """Record a step by ``rule`` that assumes the numerals ``conds`` nonzero."""
-        if conds:
-            conds = frozenset(conds)
-            self.conditions |= conds
         terms = self.terms
-        self.steps.append(_step_at(terms, len(terms.edits), rule, conds or _NO_CONDITIONS))
+        if conds:
+            conds = terms.conditions[len(terms.edits)] = frozenset(conds)
+            self.conditions |= conds
+        terms.rules.append(rule)
         terms.edits.append(edit)
 
     # -- canonical shapes -------------------------------------------------
@@ -549,8 +580,8 @@ class _Engine:
             else:
                 stack.append((s.right, (1, link), True, False))
                 stack.append((s.left, (0, link), True, False))
-        result = _flat(*shapes[0]) if self.steps else t
-        return NormalForm(result, self.conditions, self.steps)
+        result = _flat(*shapes[0]) if self.terms.edits else t
+        return NormalForm(result, self.conditions, _Trace(self.terms))
 
     def _negate(self, link: _Link, n: int, l: int) -> int:
         """Rewrite ``-(n/l)`` or ``n/(-l)`` at ``link`` to ``(-n)/l``, evaluated; return ``-n``."""
@@ -764,7 +795,7 @@ def _apply_at(sub: Term, rule: str, inst: dict, enable_dbz: bool) -> Term:
     raise DomainError(f"unknown rule {rule!r}")
 
 
-def replay_derivation(steps: Derivation) -> Term:
+def replay_derivation(steps: Sequence[Step]) -> Term:
     """Re-derive every step, check it against the record, and return the final term.
 
     Each step's redex is re-contracted with its rule, whose recorded

@@ -4,13 +4,13 @@ A term is a fraction exactly when division is its leading symbol.  Most
 classes below are relative to a backend ``A``: a fraction is *common* when
 its denominator denotes nonzero in ``A``, *safe* when no subterm is an
 uncommon fraction, *simple* when both components are numerals and the
-fraction is common, and so on.  :func:`classify` walks the term once: the
-closed and flat flags are read off its :func:`postorder` list, and on a
-closed term the same list is evaluated in ``A``, collecting the fractions
-whose denominators denote zero (or ``a``): the term is common when its root
-is not among them and safe when none was collected.  The backend-relative
-flags are reported as ``None`` (indeterminate) for open terms rather than
-quantifying over assignments.
+fraction is common, and so on.  :func:`classify` walks a term once per
+backend, and keeps what it found in the term's memo (:func:`_facts`): the
+closed and flat flags come from its :func:`postorder` list, and on a closed
+term that list is evaluated in ``A``, collecting the fractions whose
+denominators denote zero (or ``a``).  The term is common when its root is not
+among them and safe when none was.  Backend-relative flags are ``None``
+(indeterminate) for open terms rather than quantifying over assignments.
 
 The three equalities compare ever less syntax: identical trees (``eq_syn``),
 equal (numerator value, denominator value) pairs (``eq_pair``), and equal
@@ -23,9 +23,9 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .meadows import Gfp, Meadow, MeadowValue, Residue, _evaluate, denote
+from .meadows import Gfp, Meadow, MeadowValue, Residue, _pair, denote
 from .syntax import to_text
-from .terms import Div, Mul, Neg, Numeral, ONE, Term, Var, _Record, eq_syn, postorder
+from .terms import Div, Mul, Neg, Numeral, ONE, Term, Var, _Record, _memo_of, eq_syn, postorder
 
 __all__ = [
     "Classification",
@@ -81,14 +81,28 @@ def _signed_parts(t: Term) -> tuple[int, int] | None:
     return None
 
 
+def _facts(t: Term, meadow: Meadow) -> tuple[frozenset[type], frozenset[int] | None]:
+    """Classes below ``t``'s root; ids of its fractions over zero in ``meadow``, None if open."""
+    memo = _memo_of(t)
+    facts = memo.get(meadow.name)
+    if facts is None:
+        nodes = postorder(t)
+        below = frozenset(map(type, nodes[:-1]))  # the root comes last
+        unsafe: list[Div] = []
+        closed = Var not in below and type(t) is not Var
+        if closed:
+            _pair(nodes, meadow, {}, unsafe)
+        facts = memo[meadow.name] = below, frozenset(map(id, unsafe)) if closed else None
+    return facts
+
+
 def classify(t: Term, meadow: Meadow) -> Classification:
     """Compute every class flag of ``t`` relative to ``meadow``."""
     fraction = isinstance(t, Div)
     num = t.numerator if fraction else None
     den = t.denominator if fraction else None
-    nodes = postorder(t)
-    below = set(map(type, nodes[:-1]))  # the root comes last
-    closed = Var not in below and type(t) is not Var
+    below, unsafe = _facts(t, meadow)
+    closed = unsafe is not None
 
     flat = fraction and Div not in below
     composed = fraction and not flat
@@ -96,10 +110,7 @@ def classify(t: Term, meadow: Meadow) -> Classification:
     common: bool | None
     safe_term: bool | None
     if closed:
-        unsafe: list[Div] = []
-        _evaluate(nodes, meadow, {}, unsafe)
-        # The root is collected last, after every fraction inside it.
-        common = fraction and not (unsafe and unsafe[-1] is t)
+        common = fraction and id(t) not in unsafe
         safe_term = not unsafe
         uncommon = fraction and not common
         safe_fraction = common and safe_term

@@ -15,6 +15,9 @@ Positions are addressed here alone: a position is a tuple of child indices,
 a link is the same path as a linked list from the subterm up to the root, and
 :class:`_Zipper` opens a term at either.  Every reader of a position moves a
 zipper, and an index that a term does not have raises :class:`PositionError`.
+
+A node's memo (:func:`_memo_of`) keeps facts its callers computed about it,
+as ids, classes and integers: never a node, and no value object.
 """
 
 from __future__ import annotations
@@ -155,10 +158,10 @@ class _Node(_Frozen):
 
     ``==`` is :func:`eq_syn` and ``hash`` one :func:`postorder` fold, so
     neither is bounded by the recursion limit, and nor are ``repr``, ``pickle``
-    and ``copy``.
+    and ``copy``.  The slot ``_memo`` is not a field: see :func:`_memo_of`.
     """
 
-    __slots__ = ()
+    __slots__ = ("_memo",)
 
     def __reduce__(self) -> tuple:
         """Pickle and copy as one flat :func:`postorder` list: leaf values and operator classes."""
@@ -258,6 +261,14 @@ def _from_postorder(items: list) -> Term:
         else:
             vals.append(Numeral(x))
     return vals[0]
+
+
+def _memo_of(t: Term) -> dict:
+    """Facts computed about ``t``, made on first use: ids, classes and integers, never a node,
+    which would make ``t`` cyclic garbage.  Not part of ``==``, ``hash``, ``repr`` or pickling."""
+    if not hasattr(t, "_memo"):
+        _Node._memo.__set__(t, {})
+    return t._memo
 
 
 #: A path of 0-based child indices from the root of a term.
@@ -408,13 +419,6 @@ def _path(link: _Link) -> Position:
     return tuple(pos)
 
 
-def _indices(pos: Position) -> list:
-    """``pos`` as a list; :class:`PositionError` unless it is a tuple or list."""
-    if not isinstance(pos, (tuple, list)):
-        raise PositionError(f"a position is a list of child indices, got {pos!r}")
-    return list(pos)
-
-
 class _Zipper:
     """A term opened at one subterm, its focus (Huet, *The Zipper*, JFP 7(5), 1997).
 
@@ -461,9 +465,11 @@ class _Zipper:
         return kept
 
     def descend(self, pos: Position) -> None:
-        """Focus the subterm at ``pos`` below the focus."""
+        """Focus the subterm at ``pos`` below the focus; ``pos`` is a tuple or list."""
+        if not isinstance(pos, (tuple, list)):
+            raise PositionError(f"a position is a list of child indices, got {pos!r}")
         link = self.path[-1][2] if self.path else None
-        for i in _indices(pos):
+        for i in pos:
             link = (i, link)
         self.move(link)
 

@@ -35,7 +35,7 @@ from fracterm.calculator import (
     replay_derivation,
 )
 from fracterm.classify import classify
-from fracterm.errors import DomainError, EvalError, MatchError, SafetyError
+from fracterm.errors import DomainError, EvalError, MatchError, PositionError, SafetyError
 from fracterm.fracpairs import Fracpair
 from fracterm.meadows import Gfp, Q0, Residue, denote, evaluate
 from fracterm.syntax import parse, term_to_json, term_to_json_obj, to_text
@@ -673,6 +673,19 @@ class TestLocalSteps:
                 delattr(step, name)
         assert step == same
 
+    def test_the_writers_refuse_what_replay_refuses(self):
+        # A hand-built step's position must address a subterm of its ``before``.
+        for position in [(7, True), (0, 0), (True,), 0]:
+            step = Step(RULE_FEQ, position, parse("1/2"), parse("2/4"), frozenset({2}))
+            form = NormalForm(parse("1/2"), {2}, [step])
+            for write in (step.to_json_obj, form.to_json_obj, form.to_json):
+                with pytest.raises(PositionError):
+                    write()
+            with pytest.raises(MatchError):
+                replay_derivation([step])
+        step = Step(RULE_FEQ, [], parse("1/2"), parse("2/4"), frozenset({2}))
+        assert step.to_json_obj()["position"] == [] and eq_syn(replay_derivation([step]), parse("2/4"))
+
     def test_trace_steps_equal_their_hand_built_copies(self):
         nf = normalize_full(parse("(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)"))
         for s in nf.trace:
@@ -802,6 +815,57 @@ class TestReads:
             form = NormalForm(nf.result, nf.conditions, trace)
             assert form.to_json(indent) == json.dumps(form.to_json_obj(), indent=indent)
             assert eq_syn(replay_derivation(trace), nf.result)
+
+
+class TestLazyTrace:
+    """A normalizer's trace builds a step only when it is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        steps = []
+        step_at = calculator._step_at
+        monkeypatch.setattr(calculator, "_step_at", lambda *args: steps.append(args[1]) or step_at(*args))
+        return steps
+
+    @pytest.mark.parametrize("normalize", [normalize_safe, normalize_full])
+    def test_length_and_truth_build_no_step(self, built, normalize):
+        nf = normalize(parse(MIXED))
+        assert len(nf.trace) > 10 and nf.trace and not normalize(parse("1/2")).trace
+        assert built == []
+        nf.trace[-1], nf.trace[3]
+        assert built == [len(nf.trace) - 1, 3]
+
+    def test_reads_as_the_list_of_its_steps(self):
+        nf = normalize_full(parse(MIXED))
+        copies = [_hand_built(s) for s in nf.trace]
+        assert nf.trace == copies and copies == nf.trace and nf.trace == nf.trace
+        assert nf.trace != copies[1:] and nf.trace != tuple(copies)
+        assert repr(nf.trace) == repr(copies) and list(nf.trace) == copies
+        assert NormalForm(nf.result, nf.conditions, copies) == nf
+        assert repr(NormalForm(nf.result, nf.conditions, copies)) == repr(nf)
+        k = len(copies) // 2
+        assert nf.trace[k:] == copies[k:] and nf.trace[::-3] == copies[::-3]
+        assert nf.trace[-1] == copies[-1] and copies[k] in nf.trace
+        with pytest.raises(IndexError):
+            nf.trace[len(copies)]
+        with pytest.raises(TypeError):
+            hash(nf.trace)
+
+    def test_a_list_passed_to_a_normal_form_is_kept(self):
+        nf = normalize_safe(parse(MIXED))
+        steps = list(nf.trace)
+        form = NormalForm(nf.result, nf.conditions, steps)
+        assert form.trace is steps and form.to_json() == nf.to_json()
+        assert NormalForm(nf.result, nf.conditions).trace == []
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_an_unread_trace_pickles_unread(self, built, protocol):
+        nf = normalize_safe(parse(MIXED))
+        twin = pickle.loads(pickle.dumps(nf, protocol))
+        assert built == [] and twin.trace._terms._contracta is None
+        assert twin == nf and built != []
+        for s, t in zip(twin.trace, nf.trace):
+            assert (s.rule, s.position, s.conditions) == (t.rule, t.position, t.conditions)
 
 
 def _normal_form_with_reads(text, reads):

@@ -1,12 +1,14 @@
 """Fraction classification and the three-equality hierarchy."""
 
+import gc
 import importlib
 import random
 
 import pytest
 
+from fracterm.calculator import find_unsafe_fraction, normalize_full, normalize_safe
 from fracterm.classify import classify, eq_pair, eq_val, simple_equivalent
-from fracterm.errors import DomainError, EvalError
+from fracterm.errors import DomainError, EvalError, SafetyError
 from fracterm.meadows import ERROR, CommonQ, Gfp, Q0, Residue, denote
 from fracterm.syntax import parse
 from fracterm.terms import (
@@ -170,31 +172,79 @@ class TestClassificationInvariants:
                     nonzero(s.denominator) for _, s in subterms(t) if isinstance(s, Div)
                 )
 
-    def test_one_evaluation_per_closed_term(self, monkeypatch):
-        # One postorder walk per term, and one evaluation of it when closed.
+    def test_one_walk_per_term_for_all_its_callers(self, monkeypatch):
+        # classify and the precheck share one walk of a term, and both
+        # normalizers another; an open term is walked once and not evaluated.
+        walked, evaluated = [], []
+        for name in ("classify", "calculator", "meadows"):
+            module = importlib.import_module(f"fracterm.{name}")
+            real = module.postorder
+            monkeypatch.setattr(module, "postorder", lambda t, real=real: walked.append(t) or real(t))
         module = importlib.import_module("fracterm.classify")
-        calls = {}
-
-        def counting(name):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        for name in ("_evaluate", "postorder", "denote"):
-            counting(name)
+        pair = module._pair
+        monkeypatch.setattr(module, "_pair", lambda nodes, *rest: evaluated.append(nodes[-1]) or pair(nodes, *rest))
         t = ONE
         for _ in range(60):
             t = Div(ONE, Add(ONE, t))
-        for term, closed in ((t, True), (Div(t, Var("x")), False)):
-            calls.update(_evaluate=0, postorder=0, denote=0)
-            c = classify(term, Q)
-            assert c.is_closed is closed and c.is_composed
-            assert (c.is_common, c.is_safe_term) == ((True, True) if closed else (None, None))
-            assert calls == {"_evaluate": int(closed), "postorder": 1, "denote": 0}
+        for _ in range(2):
+            c = classify(t, Q)
+            assert c.is_closed and c.is_composed and (c.is_common, c.is_safe_term) == (True, True)
+            assert find_unsafe_fraction(t) is None
+            normalize_safe(t), normalize_full(t)
+            assert len(walked) == 2 and all(s is t for s in walked) and evaluated == [t]
+        walked.clear()
+        open_term = Div(t, Var("x"))
+        for _ in range(2):
+            c = classify(open_term, Q)
+            assert not c.is_closed and (c.is_common, c.is_safe_term) == (None, None)
+        assert walked == [open_term] and evaluated == [t]
+        with pytest.raises(EvalError, match="unbound variable 'x'"):
+            find_unsafe_fraction(open_term)
+
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize("text", ["1/2 + 1/3 + (4/6)/(2/3)", "1/2 + 3/(1 + -1)"], ids=["safe", "unsafe"])
+    def test_memos_make_no_cycle(self, text, read):
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                t = parse(text)
+                for meadow in (Q, Gfp(7), CommonQ()):
+                    classify(t, meadow)
+                found = find_unsafe_fraction(t)
+                try:
+                    nf = normalize_safe(t)
+                except SafetyError:
+                    nf = None
+                for form in (nf, normalize_full(t)):
+                    if read and form is not None:
+                        form.trace[-1].after, form.to_json()
+                del t, found, nf, form
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_each_meadow_has_its_own_facts(self):
+        t = parse("1/7")
+        flags = lambda m: (classify(t, m).is_common, classify(t, m).is_safe_term)
+        for _ in range(2):
+            assert flags(Q) == (True, True)
+            assert flags(Gfp(7)) == (False, False)
+            assert flags(Gfp(5)) == (True, True)
+            assert flags(CommonQ()) == (True, True)
+        assert classify(t, Gfp(7)) == classify(parse("1/7"), Gfp(7))
+
+    def test_a_memo_hit_names_the_same_offender(self):
+        text = "1/2 + (3/(1 + -1) + 5/0)"
+        with pytest.raises(SafetyError) as cold:
+            normalize_safe(parse(text))
+        t = parse(text)
+        assert not classify(t, Q).is_safe_term and find_unsafe_fraction(t)[0] == (1, 0)
+        with pytest.raises(SafetyError) as warm:
+            normalize_safe(t)
+        assert str(warm.value) == str(cold.value)
+        assert warm.value.position == cold.value.position == (1, 0)
+        assert eq_syn(warm.value.term, cold.value.term)
 
     def test_json_shape(self):
         obj = classify(parse("4/2"), Q).to_json_obj()
