@@ -17,9 +17,10 @@ step, from where the previous read left it.  :func:`replay_derivation` and
   and sums of fractions are merged in one conditional-addition step
   (``CFAR``).
 * :func:`normalize_safe` uses only division-safe rules: fraction sums are
-  brought to a common denominator with ``FEQ`` and merged with ``QCR``.  Its
-  engine meets a zero denominator exactly when the input is unsafe, and only
-  then does :func:`find_unsafe_fraction` run, to name the offender.
+  brought to a common denominator with ``FEQ`` and merged with ``QCR``.  It
+  reads the term's ``Q0`` facts, which ``classify`` keeps in the term's memo,
+  and refuses an unsafe term before the engine runs, naming the offender with
+  :func:`find_unsafe_fraction`.
 
 Shared structural rules: ``DIV1`` flattens a fraction in numerator position,
 ``DIV2`` one in denominator position, and ``FEQ`` applied right to left
@@ -313,7 +314,7 @@ class NormalForm(_Record):
     def to_json_obj(self) -> dict:
         return self._json_layout(term_to_json_obj(self.result), [s.to_json_obj() for s in self.trace])
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self, indent: int | str | None = 2) -> str:
         """``json.dumps(self.to_json_obj(), indent=indent)``, rendered from the terms.
 
         Each step's terms come from :func:`_step_texts`, and ``syntax._dumps``
@@ -329,7 +330,7 @@ class NormalForm(_Record):
         return {"result": result, "conditions": sorted(self.conditions), "steps": steps}
 
 
-def _step_texts(trace: list[Step], indent: int | None) -> list[tuple[_Rendered, _Rendered]]:
+def _step_texts(trace: list[Step], indent: int | str | None) -> list[tuple[_Rendered, _Rendered]]:
     """Each step's ``before`` and ``after`` as JSON text pieces at ``_STEP_TERM_LEVEL``.
 
     A run of steps along one record renders its first ``before`` and walks a
@@ -474,10 +475,6 @@ def _div2(n: int, n2: int, l2: int) -> Div:
     return Div(Mul(Mul(signed_numeral(n), z), z), Mul(signed_numeral(n2), z))
 
 
-class _Stop(Exception):
-    """The engine met a zero denominator in safe mode."""
-
-
 class _Engine:
     """One innermost rewriting pass over a whole term, on one explicit stack.
 
@@ -494,7 +491,8 @@ class _Engine:
     :class:`Step`, and whether a component is already a signed numeral
     follows from the rule and those integers.
 
-    In safe mode ``run`` stops (:class:`_Stop`) at the first zero denominator.
+    The engine only rewrites: in safe mode it runs on safe terms alone, so a
+    zero denominator ``dv`` can only be full mode's, which ``DBZ`` collapses.
     """
 
     def __init__(self, safe: bool):
@@ -504,9 +502,9 @@ class _Engine:
     def _record_values(self, t: Term) -> dict[int, int]:
         """Each division-free subterm's value in the closed term ``t``, by id; kept in its memo."""
         memo = _memo_of(t)
-        if _Engine not in memo:
-            values: dict[int, int] = {}
-            zero_denominator = False
+        values = memo.get(_Engine)
+        if values is None:
+            values = {}
             for s in postorder(t):
                 cls = type(s)
                 if cls is Numeral:
@@ -516,15 +514,10 @@ class _Engine:
                 elif cls is Neg:
                     if id(s.arg) in values:
                         values[id(s)] = -values[id(s.arg)]
-                elif cls is Div:
-                    zero_denominator |= values.get(id(s.denominator)) == 0
-                elif id(s.left) in values and id(s.right) in values:
+                elif cls is not Div and id(s.left) in values and id(s.right) in values:
                     x, y = values[id(s.left)], values[id(s.right)]
                     values[id(s)] = x + y if cls is Add else x * y
-            memo[_Engine] = values, zero_denominator
-        values, zero_denominator = memo[_Engine]
-        if zero_denominator and self.safe:
-            raise _Stop  # a fraction over a division-free zero: stop before any step
+            memo[_Engine] = values
         return values
 
     def _rewrite(self, rule: str, edit: _Edit, conds=()) -> None:
@@ -607,8 +600,6 @@ class _Engine:
     def _finalize_fraction(self, link: _Link, nv: int, dv: int) -> _Frac:
         """Bring ``Div(nv, dv)`` of signed numerals at ``link`` to reduced form."""
         if dv == 0:
-            if self.safe:  # all below is safe, so each shape is its operand's Q0 value
-                raise _Stop
             self._rewrite(RULE_DBZ, (link, _flat, 0, 1))
             return 0, 1
         if dv < 0:
@@ -660,16 +651,16 @@ class _Engine:
 
 
 def _normalize(t: Term, safe: bool) -> NormalForm:
-    try:
-        return _Engine(safe).run(t)
-    except _Stop:  # only in safe mode, so the term has an unsafe fraction
+    # Every workload classifies a term in Q0 first, so its memo already decides safety.
+    if safe and _facts(t, Q0())[1]:  # an open term's None falls through: the engine names it open
         pos, sub = find_unsafe_fraction(t)
-    raise SafetyError(
-        f"unsafe term: fraction {to_text(sub)} at position {list(pos)} "
-        "has a denominator denoting zero",
-        term=sub,
-        position=pos,
-    )
+        raise SafetyError(
+            f"unsafe term: fraction {to_text(sub)} at position {list(pos)} "
+            "has a denominator denoting zero",
+            term=sub,
+            position=pos,
+        )
+    return _Engine(safe).run(t)
 
 
 def normalize_full(t: Term) -> NormalForm:
@@ -891,7 +882,7 @@ class EqualityEvidence(_Record):
             "conditions": sorted(self.conditions),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self, indent: int | str | None = 2) -> str:
         return _dumps(self.to_json_obj(), indent)
 
 

@@ -16,10 +16,10 @@ and ``CommonQ`` differ only in the value of ``x/0``.
 unreduced integer pairs ``(n, d)``, read ``n/d``, and builds one value from
 the root's pair: ``x/0`` is ``(0, 1)``, except in ``CommonQ``, where it is
 ``(0, 0)``; ``a`` is that zero denominator, which every operation keeps.
-Given an ``unsafe`` list it also collects every fraction whose denominator
-has ``n == 0``, that is denotes zero or ``a``.  ``classify`` reads the
-paper's common and safe classes off that walk; ``normalize_safe`` runs it
-only to name the offender in an unsafe term.
+Its walk, :func:`_pair`, can also collect every fraction whose denominator
+has ``n == 0``, that is denotes zero or ``a``: ``classify`` reads the
+paper's common and safe classes off that, and ``normalize_safe`` refuses
+an unsafe term by them.
 
 Identity checking is sample-driven on the two infinite carriers, one
 sample at a time through the same pair loop, and exhaustive on ``Gfp``,
@@ -194,23 +194,15 @@ class CommonQ(_Rationals):
 Meadow: TypeAlias = Q0 | Gfp | CommonQ
 
 
-def evaluate(
-    t: Term,
-    meadow: Meadow,
-    assignment: Assignment | None = None,
-    *,
-    unsafe: list[Div] | None = None,
-) -> MeadowValue:
+def evaluate(t: Term, meadow: Meadow, assignment: Assignment | None = None) -> MeadowValue:
     """Homomorphic evaluation of ``t``; total on every backend.
 
-    When ``unsafe`` is a list, every fraction whose denominator denotes zero
-    or the error element ``a`` is appended to it, inner fractions before the
-    fractions that contain them.  The numerator is evaluated before the
-    denominator, so an unbound variable is reported left to right.  A bound
-    value outside the backend's carrier raises :class:`EvalError`.  The
-    arithmetic runs on integer pairs, reduced once at the root: see :func:`_pair`.
+    The numerator is evaluated before the denominator, so an unbound
+    variable is reported left to right.  A bound value outside the backend's
+    carrier raises :class:`EvalError`.  The arithmetic runs on integer
+    pairs, reduced once at the root: see :func:`_pair`.
     """
-    return _evaluate(postorder(t), meadow, _checked(assignment or {}, meadow), unsafe)
+    return _evaluate(postorder(t), meadow, _checked(assignment or {}, meadow))
 
 
 def _checked(env: Assignment, meadow: Meadow) -> Assignment:
@@ -225,9 +217,7 @@ def _checked(env: Assignment, meadow: Meadow) -> Assignment:
     return {name: Fraction(v) if isinstance(v, int) else v for name, v in env.items()}
 
 
-def _evaluate(
-    nodes: list[Term], meadow: Meadow, env: Assignment, unsafe: list[Div] | None = None
-) -> MeadowValue:
+def _evaluate(nodes: list[Term], meadow: Meadow, env: Assignment) -> MeadowValue:
     """:func:`evaluate` over a term's :func:`postorder` node list and a checked ``env``.
 
     Bound values become pairs on entry, the walk is :func:`_pair`, and the
@@ -235,7 +225,7 @@ def _evaluate(
     built per node.
     """
     pairs = {name: _as_pair(v) for name, v in env.items()}
-    n, d = _pair(nodes, meadow, pairs, unsafe)
+    n, d = _pair(nodes, meadow, pairs)
     if isinstance(meadow, Gfp):
         return Residue(n * pow(d, -1, meadow.p) % meadow.p, meadow.p)
     return ERROR if d == 0 else Fraction(n, d)
@@ -263,7 +253,9 @@ def _pair(
     ``(0, 0)`` in ``CommonQ``.  That zero denominator is ``a``, which every
     operation keeps, since a product with 0 is 0.  In ``GF(p)`` both
     components are reduced modulo ``p`` (a numerator may be negated past it),
-    and ``d`` is never zero there.
+    and ``d`` is never zero there.  Given an ``unsafe`` list, each fraction
+    over such a divisor is appended to it, inner fractions before the
+    fractions that contain them.
     """
     p = meadow.p if isinstance(meadow, Gfp) else 0
     over_zero = (0, 0) if isinstance(meadow, CommonQ) else (0, 1)

@@ -266,7 +266,7 @@ def _check_length(n: int) -> None:
         raise DomainError(f"JSON output exceeds the limit of {_MAX_JSON_BYTES} bytes")
 
 
-def _term_layout(cls: type, level: int, indent: int | None) -> tuple[str, str, str]:
+def _term_layout(cls: type, level: int, indent: int | str | None) -> tuple[str, str, str]:
     """The text before, between and after the operands of a ``cls`` node at ``level``.
 
     A node's operands sit two levels deeper, inside its ``args`` list.  Nodes
@@ -290,18 +290,21 @@ def _term_layout(cls: type, level: int, indent: int | None) -> tuple[str, str, s
     return text
 
 
-_LAYOUTS: dict[tuple[type, int, int | None], tuple[str, str, str]] = {}
+_LAYOUTS: dict[tuple[type, int, int | str | None], tuple[str, str, str]] = {}
 
 
-def _newline(indent: int | None, level: int) -> str:
-    return "" if indent is None else "\n" + " " * (indent * level)
+def _newline(indent: int | str | None, level: int) -> str:
+    if indent is None:
+        return ""
+    # As in ``json``, a string indent is used as it is, and an int counts spaces.
+    return "\n" + (indent if isinstance(indent, str) else " " * indent) * level
 
 
-def _separator(indent: int | None) -> str:
+def _separator(indent: int | str | None) -> str:
     return ", " if indent is None else ","
 
 
-def _frame(level: int, indent: int | None, keys: tuple = ()) -> tuple:
+def _frame(level: int, indent: int | str | None, keys: tuple = ()) -> tuple:
     """A list's text before its first entry, before each later one and after its last, cached.
 
     With ``keys``, a dict's: each entry's label, with its key, and the text after the last.
@@ -321,7 +324,7 @@ def _frame(level: int, indent: int | None, keys: tuple = ()) -> tuple:
 _FRAMES: dict[tuple, tuple] = {}
 
 
-def _dumps(obj: Any, indent: int | None = None) -> str:
+def _dumps(obj: Any, indent: int | str | None = None) -> str:
     """``json.dumps(obj, indent=indent)``, with each term encoded as :func:`term_to_json_obj`.
 
     One loop writes dicts, lists, strings, integers, booleans, ``None``, terms
@@ -375,7 +378,7 @@ def _dumps(obj: Any, indent: int | None = None) -> str:
             entries, level, closing = stack.pop()
 
 
-def _pieces(t: Term, indent: int | None, level: int, out: list[str]) -> list[str]:
+def _pieces(t: Term, indent: int | str | None, level: int, out: list[str]) -> list[str]:
     """Append the pieces of ``t``'s JSON text at ``level`` to ``out``, and return ``out``.
 
     A leaf is one piece, and an operator one before, one between (but for

@@ -107,8 +107,9 @@ class TestNormalizeFull:
             normalize_full(Var("x"))
         # Openness is reported before safety, in both modes.
         for normalize in (normalize_safe, normalize_full):
-            with pytest.raises(EvalError, match="cannot normalize an open term"):
-                normalize(parse("x + 1/0"))
+            for text in ("x + 1/0", "1/0 + x", "(1/(1/0))*x"):
+                with pytest.raises(EvalError, match="cannot normalize an open term"):
+                    normalize(parse(text))
 
 
 class TestNormalizeSafe:
@@ -153,7 +154,26 @@ class TestNormalizeSafe:
     def test_zero_operand_outside_a_denominator(self, text):
         assert_normal_form(normalize_safe(parse(text)))
 
-    def test_safe_input_needs_no_precheck(self, monkeypatch):
+    def test_refusal_runs_no_engine(self, monkeypatch):
+        def refuse(self, t):
+            raise AssertionError("the engine ran on unsafe input")
+
+        monkeypatch.setattr(calculator._Engine, "run", refuse)
+        deep = Div(Numeral(1), Numeral(0))
+        for _ in range(2000):
+            deep = Div(Numeral(1), Add(Numeral(1), deep))
+        cases = [
+            (parse("1/1 + 1/0"), (1,)),
+            (parse("1/(1/2 - 1/2)"), ()),
+            (parse("(1/0)/(2-2)"), ()),
+            (deep, (1, 1) * 2000),
+        ]
+        for t, position in cases:
+            with pytest.raises(SafetyError) as exc_info:
+                normalize_safe(t)
+            assert exc_info.value.position == position
+
+    def test_safe_input_never_calls_find_unsafe_fraction(self, monkeypatch):
         def refuse(t):
             raise AssertionError("find_unsafe_fraction called on safe input")
 
@@ -214,10 +234,15 @@ class TestFindUnsafeFraction:
         rng = random.Random(20261018)
         for _ in range(2000):
             t = random_unsafe_biased_term(rng)
-            unsafe = []
-            evaluate(t, Q0(), unsafe=unsafe)
-            ids = {id(s) for s in unsafe}
-            expected = next(((p, s) for p, s in subterms(t) if id(s) in ids), None)
+            # The reference evaluates each denominator alone, apart from classify's walk.
+            expected = next(
+                (
+                    (p, s)
+                    for p, s in subterms(t)
+                    if isinstance(s, Div) and evaluate(s.denominator, Q0()) == 0
+                ),
+                None,
+            )
             got = find_unsafe_fraction(t)
             assert (got is None) == (expected is None)
             if got is not None:

@@ -25,8 +25,9 @@ from fracterm.terms import Add, Div, Numeral, children, postorder
 
 from termgen import is_safe, random_closed_term, random_unsafe_biased_term
 
-# Indent 0 writes newlines with no spaces; None writes one line.
-INDENTS = (None, 0, 1, 2, 4)
+# Indent 0 writes newlines with no spaces; None writes one line; a string
+# indent is used as it is.
+INDENTS = (None, 0, 1, 2, 4, "\t", "")
 
 
 def _assert_written_as_json_dumps(nf):
