@@ -118,7 +118,9 @@ class Step(_Frozen):
     ``conditions``.  A step of a normal form's trace is edit ``_i`` of its
     derivation's record ``_terms``, a :class:`_Terms`, built when read.  A
     hand-built step holds ``(before, after, position)`` in ``_terms``, at
-    index 0, and its JSON refuses a position ``before`` lacks, as replay
+    index 0, with a list position as a tuple and its conditions as a
+    ``frozenset``, so a step built from its own JSON equals and hashes as the
+    original; its JSON refuses a position ``before`` lacks, as replay
     does.  Either pickles and copies as its ``_terms``, index, rule and
     conditions, so a trace step pickles as a reference to its shared record
     and stays unread.
@@ -131,8 +133,8 @@ class Step(_Frozen):
         self, rule: str, position: Position, before: Term, after: Term, conditions=_NO_CONDITIONS
     ) -> None:
         _set_rule(self, rule)
-        _set_conditions(self, conditions)
-        _set_terms(self, (before, after, position))
+        _set_conditions(self, frozenset(conditions))
+        _set_terms(self, (before, after, tuple(position) if type(position) is list else position))
         _set_i(self, 0)
 
     @property

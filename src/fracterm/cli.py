@@ -136,8 +136,8 @@ def _cmd_axioms(args: argparse.Namespace) -> int:
     meadow = meadow_from_name(args.meadow)
     if not isinstance(meadow, Gfp):
         raise DomainError("exhaustive axiom checking needs a finite backend (gf:P)")
-    names = [args.axiom] if args.axiom else sorted(AXIOMS)
-    if args.axiom and args.axiom not in AXIOMS:
+    names = [args.axiom] if args.axiom is not None else sorted(AXIOMS)
+    if args.axiom is not None and args.axiom not in AXIOMS:
         raise DomainError(
             f"unknown axiom {args.axiom!r}; known: {', '.join(sorted(AXIOMS))}"
         )

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .errors import DomainError, ParseError
-from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, children, postorder
+from .terms import Add, Div, Mul, Neg, Numeral, Term, Var, _fold, children
 
 __all__ = [
     "parse",
@@ -189,19 +189,11 @@ _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 def term_to_json_obj(t: Term) -> dict[str, Any]:
     """Tree encoding for machine consumers; numerals as decimal strings."""
-    vals: list[dict[str, Any]] = []
-    for s in postorder(t):
-        cls = type(s)
-        if cls is Numeral:
-            vals.append({"num": _decimal(s.value)})
-        elif cls is Var:
-            vals.append({"var": s.name})
-        elif cls is Neg:
-            vals[-1] = {"op": "neg", "args": [vals[-1]]}
-        else:
-            right = vals.pop()
-            vals[-1] = {"op": _OP_NAMES[cls], "args": [vals[-1], right]}
-    return vals[0]
+    return _fold(
+        t,
+        lambda s: {"num": _decimal(s.value)} if type(s) is Numeral else {"var": s.name},
+        lambda s, *args: {"op": _OP_NAMES[type(s)], "args": list(args)},
+    )
 
 
 def term_from_json_obj(obj: Any) -> Term:
@@ -267,60 +259,59 @@ def _check_length(n: int) -> None:
 
 
 def _term_layout(cls: type, level: int, indent: int | str | None) -> tuple[str, str, str]:
-    """The text before, between and after the operands of a ``cls`` node at ``level``.
+    """The text before, between and after the operands of a ``cls`` node at ``level``, kept.
 
-    A node's operands sit two levels deeper, inside its ``args`` list.  Nodes
-    at ``_MAX_JSON_DEPTH`` or deeper raise :class:`DomainError`.
+    Pieced from frames: a leaf's one-key dict, an operator's ``op``/``args``
+    dict around its operands' list.  Nodes at ``_MAX_JSON_DEPTH`` or deeper
+    raise :class:`DomainError`.
     """
-    key = (cls, level, indent)
-    text = _LAYOUTS.get(key)
-    if text is None:
-        if level >= _MAX_JSON_DEPTH:
-            raise DomainError(_TOO_DEEP)
-        inner, end = _newline(indent, level + 1), _newline(indent, level) + "}"
-        if cls is Numeral:
-            text = ("{" + inner + '"num": "', "", '"' + end)
-        elif cls is Var:
-            text = ("{" + inner + '"var": ', "", end)
-        else:
-            sep, args = _separator(indent), _newline(indent, level + 2)
-            op = f'{{{inner}"op": "{_OP_NAMES[cls]}"{sep}{inner}"args": [{args}'
-            text = (op, sep + args, inner + "]" + end)
-        _LAYOUTS[key] = text
-    return text
-
-
-_LAYOUTS: dict[tuple[type, int, int | str | None], tuple[str, str, str]] = {}
-
-
-def _newline(indent: int | str | None, level: int) -> str:
-    if indent is None:
-        return ""
-    # As in ``json``, a string indent is used as it is, and an int counts spaces.
-    return "\n" + (indent if isinstance(indent, str) else " " * indent) * level
-
-
-def _separator(indent: int | str | None) -> str:
-    return ", " if indent is None else ","
+    if level >= _MAX_JSON_DEPTH:
+        raise DomainError(_TOO_DEEP)
+    if cls is Numeral:
+        (label,), end = _frame(level, indent, ("num",))
+        text = (label + '"', "", '"' + end)
+    elif cls is Var:
+        (label,), end = _frame(level, indent, ("var",))
+        text = (label, "", end)
+    else:
+        (op, args), end = _frame(level, indent, ("op", "args"))
+        first, rest, last = _frame(level + 1, indent)
+        text = (op + encode_basestring_ascii(_OP_NAMES[cls]) + args + first, rest, last + end)
+    return _keep((cls, level, indent), text)
 
 
 def _frame(level: int, indent: int | str | None, keys: tuple = ()) -> tuple:
-    """A list's text before its first entry, before each later one and after its last, cached.
+    """A list's text before its first entry, before each later one and after its last, kept.
 
-    With ``keys``, a dict's: each entry's label, with its key, and the text after the last.
+    With ``keys``, a dict's: each entry's label, with its key, and the text after
+    the last.  Every newline, indent, separator, bracket and label is written here.
     """
-    head, sep, end = _newline(indent, level + 1), _separator(indent), _newline(indent, level)
+    if indent is None:
+        sep, head, end = ", ", "", ""
+    else:  # as in ``json``, a string indent is used as it is, and an int counts spaces
+        pad = indent if isinstance(indent, str) else " " * indent
+        sep, end = ",", "\n" + pad * level
+        head = end + pad
     if keys:
         labels = [(sep if i else "{") + head + encode_basestring_ascii(k) + ": " for i, k in enumerate(keys)]
         frame = (labels, end + "}")
     else:
         frame = ("[" + head, sep + head, end + "]")
-    if len(_FRAMES) >= 4096:  # dict keys, such as variable names, are unbounded
+    return _keep((keys, level, indent), frame)
+
+
+def _keep(key: tuple, text: tuple) -> tuple:
+    """Keep ``text`` in ``_FRAMES`` under ``key``, emptying the table when full; return ``text``."""
+    if len(_FRAMES) >= _MAX_FRAMES:
         _FRAMES.clear()
-    _FRAMES[keys, level, indent] = frame
-    return frame
+    _FRAMES[key] = text
+    return text
 
 
+# Frames by keys, node layouts by class, with level and indent.  Dict keys and
+# indents are unbounded; the deepest term written takes 2,470 entries per indent,
+# so it renders at two indents in turn with nothing built again.
+_MAX_FRAMES = 8192
 _FRAMES: dict[tuple, tuple] = {}
 
 
@@ -329,10 +320,12 @@ def _dumps(obj: Any, indent: int | str | None = None) -> str:
 
     One loop writes dicts, lists, strings, integers, booleans, ``None``, terms
     (:func:`_pieces`) and :class:`_Rendered` pieces straight from the tree, with
-    each container's labels from its :func:`_frame`: a few operations per
-    entry, and one copy of the text, in the final ``join``.  Integers past the
-    int/str limit, terms nesting ``_MAX_JSON_DEPTH`` containers deep and text
-    longer than ``_MAX_JSON_BYTES`` raise :class:`DomainError`.
+    each container's labels from its :func:`_frame` and each term node's from
+    its :func:`_term_layout`, kept in one table of ``_MAX_FRAMES`` entries: a
+    few operations per entry, and one copy of the text, in the final ``join``.
+    Integers past the int/str limit, terms nesting ``_MAX_JSON_DEPTH``
+    containers deep and text longer than ``_MAX_JSON_BYTES`` raise
+    :class:`DomainError`.
     """
     out: list[str] = []
     # The containers entered: the rest of each one's (label, value) entries,
@@ -389,7 +382,7 @@ def _pieces(t: Term, indent: int | str | None, level: int, out: list[str]) -> li
     stack: list[Any] = []
     while True:
         cls = type(t)
-        before, between, after = _LAYOUTS.get((cls, level, indent)) or _term_layout(cls, level, indent)
+        before, between, after = _FRAMES.get((cls, level, indent)) or _term_layout(cls, level, indent)
         if cls is Numeral:
             out.append(before + _decimal(t.value) + after)
         elif cls is Var:

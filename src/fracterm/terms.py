@@ -8,8 +8,10 @@ reading when it is needed.
 
 The six node classes are plain ``__slots__`` classes on one base, whose
 setters raise.  Every whole-term walk is a loop over :func:`postorder`, one
-explicit stack, or over a stack of its own, as ``==``, ``hash`` and ``repr``
-are; so no traversal here is bounded by the interpreter's recursion limit.
+explicit stack, or over a stack of its own, as ``==`` and ``repr`` are; so no
+traversal here is bounded by the interpreter's recursion limit.  A value built
+from its operands' values is one :func:`_fold`, except on the benchmark's hot
+paths, whose walks keep their own loops, as :func:`_fold` says.
 
 Positions are addressed here alone: a position is a tuple of child indices,
 a link is the same path as a linked list from the subterm up to the root, and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from typing import Any, TypeAlias
+from typing import Any, Callable, TypeAlias
 
 from .errors import PositionError
 
@@ -156,7 +158,7 @@ class _Frozen(_Record):
 class _Node(_Frozen):
     """The base of the six term classes: immutable, compared and hashed by structure.
 
-    ``==`` is :func:`eq_syn` and ``hash`` one :func:`postorder` fold, so
+    ``==`` is :func:`eq_syn` and ``hash`` one :func:`_fold`, so
     neither is bounded by the recursion limit, and nor are ``repr``, ``pickle``
     and ``copy``.  The slot ``_memo`` is not a field: see :func:`_memo_of`.
     """
@@ -177,14 +179,7 @@ class _Node(_Frozen):
         return eq_syn(self, other)
 
     def __hash__(self) -> int:
-        vals: list[int] = []
-        for s in postorder(self):
-            if type(s) is Numeral or type(s) is Var:
-                vals.append(hash((type(s), *s._values())))
-            else:  # the hashes of its operands are the last len(_fields) values
-                k = len(s._fields)
-                vals[-k:] = [hash((type(s), *vals[-k:]))]
-        return vals[0]
+        return _fold(self, lambda s: hash((type(s), *s._values())), lambda s, *h: hash((type(s), *h)))
 
 
 class Numeral(_Node):
@@ -331,21 +326,35 @@ def postorder(t: Term) -> list[Term]:
     return out
 
 
-def expand_numeral(t: Term) -> Term:
-    """Replace every numeral above 1 by its left-nested sum of units."""
-    vals: list[Term] = []
+def _fold(t: Term, leaf: Callable[[Term], Any], op: Callable[..., Any]) -> Any:
+    """``t``'s value: ``leaf(s)`` at a leaf, ``op(s, *values)`` at an operator, operands in constructor order.
+
+    One :func:`postorder` loop with a value stack, behind ``hash``, :func:`depth`,
+    :func:`expand_numeral` and ``syntax.term_to_json_obj``.  ``meadows._pair`` and
+    ``_residues``, the engine's ``_record_values`` and ``classify._facts`` keep
+    their own loops: they are on the benchmark's hot paths, where a Python call
+    per node costs real time.  :func:`_from_postorder` folds a list, not a term.
+    """
+    vals: list = []
     for s in postorder(t):
         cls = type(s)
-        if cls is Numeral and s.value > 1:
-            vals.append(reduce(Add, [ONE] * s.value))
-        elif cls is Numeral or cls is Var:
-            vals.append(s)
+        if cls is Numeral or cls is Var:
+            vals.append(leaf(s))
         elif cls is Neg:
-            vals[-1] = Neg(vals[-1])
+            vals[-1] = op(s, vals[-1])
         else:
             right = vals.pop()
-            vals[-1] = cls(vals[-1], right)
+            vals[-1] = op(s, vals[-1], right)
     return vals[0]
+
+
+def expand_numeral(t: Term) -> Term:
+    """Replace every numeral above 1 by its left-nested sum of units."""
+    return _fold(
+        t,
+        lambda s: reduce(Add, [ONE] * s.value) if type(s) is Numeral and s.value > 1 else s,
+        lambda s, *operands: type(s)(*operands),
+    )
 
 
 def is_closed(t: Term) -> bool:
@@ -382,16 +391,7 @@ def node_count(t: Term) -> int:
 
 
 def depth(t: Term) -> int:
-    vals: list[int] = []
-    for s in postorder(t):
-        cls = type(s)
-        if cls is Numeral or cls is Var:
-            vals.append(0)
-        elif cls is Neg:
-            vals[-1] += 1
-        else:
-            vals.append(max(vals.pop(), vals.pop()) + 1)
-    return vals[0]
+    return _fold(t, lambda s: 0, lambda s, *depths: max(depths) + 1)
 
 
 def subterms(t: Term) -> list[tuple[Position, Term]]:

@@ -712,9 +712,18 @@ class TestLocalSteps:
         assert step.to_json_obj()["position"] == [] and eq_syn(replay_derivation([step]), parse("2/4"))
 
     def test_trace_steps_equal_their_hand_built_copies(self):
+        # Also when built from the lists a step's JSON holds, as replay from JSON will be.
         nf = normalize_full(parse("(1/2)/(3/0) + 1/1 + 1/0 + (2/3)*(3/4)"))
         for s in nf.trace:
-            assert s == Step(s.rule, s.position, s.before, s.after, s.conditions)
+            obj = s.to_json_obj()
+            for copy_ in (
+                Step(s.rule, s.position, s.before, s.after, s.conditions),
+                Step(s.rule, obj["position"], s.before, s.after, obj["conditions"]),
+            ):
+                assert copy_ == s and hash(copy_) == hash(s)
+        step = Step(RULE_FEQ, [], parse("1/2"), parse("2/4"), {2})
+        assert step == Step(RULE_FEQ, (), parse("1/2"), parse("2/4"), frozenset({2}))
+        assert hash(step) == hash(Step(RULE_FEQ, (), parse("1/2"), parse("2/4"), frozenset({2})))
 
     def test_positions_cost_linear_memory(self):
         # Each frame links to its parent's position, so an unread derivation

@@ -280,7 +280,8 @@ class TestAxiomsCommand:
         assert run(capsys, "axioms", "--meadow", "q0")[0] == 4
 
     def test_unknown_axiom(self, capsys):
-        assert run(capsys, "axioms", "--meadow", "gf:5", "--axiom", "nope")[0] == 4
+        for name in ("nope", ""):
+            assert run(capsys, "axioms", "--meadow", "gf:5", "--axiom", name)[0] == 4
 
 
 class TestUsage:

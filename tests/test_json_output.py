@@ -153,11 +153,31 @@ class TestWriterAgreesWithJsonDumps:
             _dumps(value)
 
     def test_frame_cache_stays_bounded(self):
-        # Dict keys such as variable names are unbounded, so the cache of frames is too.
+        # Dict keys such as variable names, and indents, are unbounded, so the
+        # one table of frames and term layouts is emptied when full.
         for i in range(5000):
             obj = {f"x{i}": [i, {"y": i}]}
             assert _dumps(obj, i % 3) == json.dumps(obj, indent=i % 3)
-            assert len(syntax._FRAMES) <= 4096
+            assert len(syntax._FRAMES) <= 8192
+        # Every table the writer keeps is bounded: the parser's constant ones
+        # hold a few entries.
+        nf = normalize_safe(parse("1/2 + 1/3"))
+        for indent in range(1000):
+            nf.to_json(indent)
+            tables = [v for k, v in vars(syntax).items() if type(v) is dict and not k.startswith("__")]
+            assert sum(map(len, tables)) <= 8192 + 32
+
+    def test_deepest_term_renders_at_two_indents_in_turn_with_nothing_rebuilt(self, monkeypatch):
+        t = parse("+".join(["1"] * 495))  # 989 containers deep, the most written
+        monkeypatch.setattr(syntax, "_FRAMES", {})
+        built = []
+        frame = syntax._frame
+        monkeypatch.setattr(syntax, "_frame", lambda *args: built.append(args) or frame(*args))
+        texts = [_dumps(t, indent) for indent in (2, None)]
+        assert built
+        built.clear()
+        assert [_dumps(t, indent) for indent in (2, None)] == texts
+        assert built == []
 
 
 class TestByteLimit:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from fracterm.calculator import EqualityEvidence, apply_rule, normalize_safe
 from fracterm.errors import PositionError
 from fracterm.fracpairs import Fracpair
 from fracterm.meadows import CommonQ, Gfp, Q0, check_identity, denote
-from fracterm.syntax import parse
+from fracterm.syntax import parse, term_to_json_obj
 from fracterm.terms import (
     Add,
     Div,
@@ -20,6 +21,7 @@ from fracterm.terms import (
     ONE,
     Var,
     as_signed_numeral,
+    children,
     depth,
     eq_syn,
     expand_numeral,
@@ -33,7 +35,7 @@ from fracterm.terms import (
     subterms,
 )
 
-from termgen import random_closed_term
+from termgen import open_term, random_closed_term
 
 
 def terms_strategy(with_vars: bool = True):
@@ -238,3 +240,48 @@ class TestTraversal:
     def test_depth(self):
         assert depth(Numeral(3)) == 0
         assert depth(Neg(Div(Numeral(1), Numeral(2)))) == 2
+
+
+def _ref_hash(t):
+    leaf = (t.value,) if type(t) is Numeral else (t.name,) if type(t) is Var else None
+    return hash((type(t), *(leaf or map(_ref_hash, children(t)))))
+
+
+def _ref_depth(t):
+    return max((_ref_depth(c) + 1 for c in children(t)), default=0)
+
+
+def _ref_expand(t):
+    if type(t) is Numeral:
+        return reduce(Add, [ONE] * t.value) if t.value > 1 else t
+    return t if type(t) is Var else type(t)(*map(_ref_expand, children(t)))
+
+
+def _ref_json(t):
+    if type(t) is Numeral:
+        return {"num": str(t.value)}
+    if type(t) is Var:
+        return {"var": t.name}
+    op = {Add: "add", Mul: "mul", Neg: "neg", Div: "div"}[type(t)]
+    return {"op": op, "args": [_ref_json(c) for c in children(t)]}
+
+
+def _rebuilt(t):
+    return type(t)(*map(_rebuilt, children(t))) if children(t) else type(t)(*t._values())
+
+
+class TestFolds:
+    def test_folds_equal_recursive_references(self):
+        # The references walk operands in constructor order, so an operand
+        # order slip in the fold shows in the non-commutative encodings.
+        rng = random.Random(31)
+        for i in range(300):
+            t = random_closed_term(rng, 6, 12)
+            if i % 2:
+                t = open_term(rng, t)
+            assert hash(t) == _ref_hash(t)
+            twin = _rebuilt(t)
+            assert twin == t and hash(twin) == hash(t)
+            assert depth(t) == _ref_depth(t)
+            assert eq_syn(expand_numeral(t), _ref_expand(t))
+            assert term_to_json_obj(t) == _ref_json(t)
